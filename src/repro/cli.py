@@ -75,6 +75,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from time import perf_counter
 from typing import List, Optional
 
 from .analysis.report import format_table
@@ -727,45 +729,122 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return runner_main(argv)
 
 
-def _overload_config(args: argparse.Namespace):
-    """Overload-protection knobs shared by ``chaos --overload``."""
-    from .overload import OverloadConfig
-
-    return OverloadConfig(
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        service_time=args.service_time,
-        ttl=args.ttl,
-        admission_rate=args.admission_rate,
-        admission_burst=args.admission_burst,
-    )
+class _PlanError(ValueError):
+    """A chaos scenario the given flags cannot build (exit status 2)."""
 
 
-def _cmd_chaos_overload(args: argparse.Namespace) -> int:
-    from .faults import OverloadChaosSimulation
-    from .faults.verifier import (
-        build_burst_storm_times,
-        build_chaos_plan,
-        build_chaos_testbed,
-        build_resubscribe_storm,
-        build_slow_subscriber_plan,
-    )
+@dataclass
+class _ChaosResult:
+    """One chaos mode's run: report, its framing lines, its verdict."""
 
-    scenario = args.scenario
+    report: object
+    header: List[str]
+    footer: List[str]
+    healthy: bool
+    #: perf_counter() once the workload was built (stats' events/sec).
+    started: float
+
+
+def _chaos_workload(args: argparse.Namespace, dynamic: bool = False):
+    """The seeded testbed, threshold policy and event stream of a run."""
+    from .faults.verifier import build_chaos_testbed
+
     broker, density = build_chaos_testbed(
         seed=args.seed,
         subscriptions=args.subscriptions,
         num_groups=args.groups,
-        dynamic=scenario == "resubscribe",
+        dynamic=dynamic,
     )
-    # ``with_policy`` builds a plain sibling broker; the resubscribe
-    # scenario must keep its DynamicPubSubBroker, so set in place.
+    # Set in place: recovery and takeover rebuild a DynamicPubSubBroker's
+    # engine through the broker object itself, so it must survive.
     broker.policy = ThresholdPolicy(args.threshold)
     points, publishers = PublicationGenerator(
         density, broker.topology.all_stub_nodes(), seed=args.seed + 9
     ).generate(args.events)
+    return broker, points, publishers, perf_counter()
+
+
+def _set_retry_budget(simulation, args: argparse.Namespace) -> None:
+    from .faults import RetryConfig
+
+    simulation.transport.config = RetryConfig.for_network(
+        simulation.network, max_attempts=args.max_attempts
+    )
+
+
+def _missing_lines(report) -> List[str]:
+    if not report.missing:
+        return []
+    lines = ["\nfirst missing deliveries (event, subscriber, reason):"]
+    lines.extend(
+        f"  event {sequence} -> node {subscriber}: {reason}"
+        for sequence, subscriber, reason in report.missing[:10]
+    )
+    if len(report.missing) > 10:
+        lines.append(f"  ... and {len(report.missing) - 10} more")
+    return lines
+
+
+def _digest_lines(title: str, label: str, digests: List[str]) -> List[str]:
+    if not digests:
+        return []
+    return [f"\n{title} (determinism witnesses):"] + [
+        f"  {label} {index}: {digest}" for index, digest in enumerate(digests)
+    ]
+
+
+def _plain_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
+    from .faults import ChaosSimulation
+    from .faults.verifier import build_chaos_plan
+
+    broker, points, publishers, started = _chaos_workload(args)
+    plan = build_chaos_plan(
+        broker.topology,
+        seed=args.seed,
+        loss=args.loss,
+        duplicate=args.duplicate,
+        crashes=args.crashes,
+        crash_length=args.crash_length,
+        horizon=float(args.events),
+    )
+    simulation = ChaosSimulation(
+        broker, plan, reliable=not args.unreliable, telemetry=telemetry
+    )
+    if not args.unreliable:
+        _set_retry_budget(simulation, args)
+    report = simulation.run(points, publishers)
+    header = (
+        f"chaos run: {broker.topology.num_nodes} nodes, "
+        f"{len(points)} events, loss={args.loss}, "
+        f"crashes={args.crashes}x{args.crash_length}"
+    )
+    # Fire-and-forget only shows what gets lost; it never fails.
+    healthy = args.unreliable or report.exactly_once
+    return _ChaosResult(
+        report, [header], _missing_lines(report), healthy, started
+    )
+
+
+def _overload_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
+    from .faults import OverloadChaosSimulation
+    from .faults.verifier import (
+        build_burst_storm_times,
+        build_chaos_plan,
+        build_resubscribe_storm,
+        build_slow_subscriber_plan,
+    )
+    from .overload import OverloadConfig
+
+    scenario = args.scenario
+    broker, points, publishers, started = _chaos_workload(
+        args, dynamic=scenario == "resubscribe"
+    )
     arrival_times = build_burst_storm_times(args.events)
     horizon = max(arrival_times[-1] * 2.0, 500.0)
+    if telemetry is not None:
+        # The instrumented replay keeps the plain chaos plan's crash
+        # windows, spread over one time unit per event.
+        horizon = float(args.events)
     churn = []
     victim = None
     if scenario in ("slow-subscriber", "dead-subscriber"):
@@ -794,48 +873,41 @@ def _cmd_chaos_overload(args: argparse.Namespace) -> int:
                 count=min(50, args.subscriptions),
                 seed=args.seed,
             )
+    config = OverloadConfig(
+        queue_capacity=args.queue_capacity,
+        shed_policy=args.shed_policy,
+        service_time=args.service_time,
+        ttl=args.ttl,
+        admission_rate=args.admission_rate,
+        admission_burst=args.admission_burst,
+    )
     simulation = OverloadChaosSimulation(
         broker,
         plan,
-        config=_overload_config(args),
+        config=config,
         reliable=not args.unreliable,
+        telemetry=telemetry,
     )
     report = simulation.run(points, publishers, arrival_times, churn=churn)
-    print(
+    header = [
         f"overload run ({scenario}): {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, queue={args.queue_capacity} "
-        f"({args.shed_policy}), ttl={args.ttl}, "
-        f"admission={args.admission_rate}"
-    )
+        f"{len(points)} events, queue={config.queue_capacity} "
+        f"({config.shed_policy}), ttl={config.ttl}, "
+        f"admission={config.admission_rate}"
+    ]
     if victim is not None:
-        print(f"victim subscriber: node {victim}")
-    print(format_table(("metric", "value"), report.summary_rows()))
-    return 0 if report.accounted and report.within_capacity else 1
+        header.append(f"victim subscriber: node {victim}")
+    healthy = report.accounted and report.within_capacity
+    return _ChaosResult(report, header, [], healthy, started)
 
 
-def _cmd_chaos_crash_recovery(args: argparse.Namespace) -> int:
+def _crash_recovery_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
     import os
 
     from .durability import FileWAL
-    from .faults import (
-        CrashRecoverySimulation,
-        RetryConfig,
-        build_crash_recovery_plan,
-    )
-    from .faults.verifier import build_chaos_testbed
+    from .faults import CrashRecoverySimulation, build_crash_recovery_plan
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=True,
-    )
-    # Recovery rebuilds the engine through the dynamic machinery, so
-    # the DynamicPubSubBroker must survive: set the policy in place.
-    broker.policy = ThresholdPolicy(args.threshold)
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
+    broker, points, publishers, started = _chaos_workload(args, dynamic=True)
     try:
         plan, home = build_crash_recovery_plan(
             broker.topology,
@@ -848,8 +920,7 @@ def _cmd_chaos_crash_recovery(args: argparse.Namespace) -> int:
             corrupt=args.corrupt_wal,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _PlanError(str(error)) from error
     wal = None
     if args.wal_out:
         # A fresh run wants a fresh log, not appends onto a stale one.
@@ -862,74 +933,50 @@ def _cmd_chaos_crash_recovery(args: argparse.Namespace) -> int:
         home=home,
         wal=wal,
         checkpoint_every=args.checkpoint_every,
+        telemetry=telemetry,
     )
     if wal is not None:
         wal.clock = lambda: simulation.simulator.now
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
+    _set_retry_budget(simulation, args)
     report = simulation.run(points, publishers)
     corrupt = f", corrupting ({args.corrupt_wal})" if args.corrupt_wal else ""
-    print(
+    header = (
         f"crash-recovery run: {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, home broker {home}, "
         f"{len(simulation.windows)} crash windows{corrupt}"
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.durability.corruptions:
-        print("\nwal corruptions applied:")
-        for entry in report.durability.corruptions:
-            print(f"  {entry}")
-    if report.durability.recovery_digests:
-        print("\nrecovery state digests (determinism witnesses):")
-        for index, digest in enumerate(report.durability.recovery_digests):
-            print(f"  recovery {index}: {digest}")
-    if report.missing:
-        print("\nfirst missing deliveries (event, subscriber, reason):")
-        for sequence, subscriber, reason in report.missing[:10]:
-            print(f"  event {sequence} -> node {subscriber}: {reason}")
-        if len(report.missing) > 10:
-            print(f"  ... and {len(report.missing) - 10} more")
+    durability = report.durability
+    footer = []
+    if durability.corruptions:
+        footer.append("\nwal corruptions applied:")
+        footer.extend(f"  {entry}" for entry in durability.corruptions)
+    footer += _digest_lines(
+        "recovery state digests", "recovery", durability.recovery_digests
+    )
+    footer += _missing_lines(report)
     if args.wal_out:
-        print(
+        footer.append(
             f"\nwrote {args.wal_out} "
             f"(inspect with `repro wal --path {args.wal_out}`)"
         )
+    healthy = report.exactly_once
     if args.corrupt_wal:
         # A damaged log may legitimately lose intents journaled in the
         # torn tail; the hard guarantees are that every crash window
         # produced a recovery and that nothing was delivered twice.
         healthy = (
-            report.durability.recoveries == len(simulation.windows)
+            durability.recoveries == len(simulation.windows)
             and report.duplicate_deliveries == 0
         )
-        return 0 if healthy else 1
-    return 0 if report.exactly_once else 1
+    return _ChaosResult(report, [header], footer, healthy, started)
 
 
-def _cmd_chaos_failover(args: argparse.Namespace) -> int:
-    from .faults import (
-        FailoverChaosSimulation,
-        RetryConfig,
-        build_failover_plan,
-    )
-    from .faults.verifier import build_chaos_testbed
+def _failover_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
+    from .faults import FailoverChaosSimulation, build_failover_plan
     from .replication import ShippingConfig
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=True,
-    )
-    # Takeover rebuilds the engine through the dynamic machinery, so
-    # the DynamicPubSubBroker must survive: set the policy in place.
-    broker.policy = ThresholdPolicy(args.threshold)
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
+    broker, points, publishers, started = _chaos_workload(args, dynamic=True)
     inter_arrival = 2.0
-    horizon = max(args.events * inter_arrival, 500.0)
     scenario = args.failover_scenario
     try:
         plan, primary, standbys = build_failover_plan(
@@ -938,12 +985,11 @@ def _cmd_chaos_failover(args: argparse.Namespace) -> int:
             loss=args.loss,
             duplicate=args.duplicate,
             scenario=scenario,
-            horizon=horizon,
+            horizon=max(args.events * inter_arrival, 500.0),
             standby_count=args.standbys,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _PlanError(str(error)) from error
     # The catch-up scenario must overflow the shipping buffer while
     # the laggard is partitioned, so takeover exercises anti-entropy.
     shipping = (
@@ -958,21 +1004,20 @@ def _cmd_chaos_failover(args: argparse.Namespace) -> int:
         primary=primary,
         shipping=shipping,
         checkpoint_every=args.checkpoint_every,
+        telemetry=telemetry,
     )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
+    _set_retry_budget(simulation, args)
     report = simulation.run(points, publishers, inter_arrival=inter_arrival)
-    print(
+    header = (
         f"failover run ({scenario}): {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, primary {primary}, "
         f"standbys {standbys}"
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.replication.takeover_digests:
-        print("\ntakeover state digests (determinism witnesses):")
-        for index, digest in enumerate(report.replication.takeover_digests):
-            print(f"  takeover {index}: {digest}")
+    footer = _digest_lines(
+        "takeover state digests",
+        "takeover",
+        report.replication.takeover_digests,
+    )
     # The replication guarantees: every event accounted exactly once,
     # nobody delivered twice across the takeover, at least one
     # takeover actually happened, and the fencing probe fired.  A
@@ -986,29 +1031,40 @@ def _cmd_chaos_failover(args: argparse.Namespace) -> int:
     )
     if scenario == "partition":
         healthy = healthy and report.replication.stale_rejections >= 1
-    return 0 if healthy else 1
+    return _ChaosResult(report, [header], footer, healthy, started)
 
 
-def _cmd_chaos_sharded(args: argparse.Namespace) -> int:
-    from .faults import (
-        RetryConfig,
-        ShardedChaosSimulation,
-        build_sharded_plan,
-        unsharded_match_digest,
+def _digest_parity(broker, points, simulation, report):
+    """Footer + verdict of the unsharded-reference digest comparison."""
+    from .faults import unsharded_match_digest
+
+    reference = unsharded_match_digest(
+        broker, points, simulation.serviced_sequences
     )
-    from .faults.verifier import build_chaos_testbed
+    agreed = reference == report.sharded.match_digest
+    footer = [
+        f"\nunsharded reference digest: {reference}",
+        f"digest agreement: {'yes' if agreed else 'NO'}",
+    ]
+    # Every event in exactly one outcome bucket, nobody delivered
+    # twice, every miss explained by a physically-severed target, and
+    # the sharded MatchResults digest-identical to one unsharded
+    # broker's.
+    healthy = (
+        report.sharded.accounted
+        and report.duplicate_deliveries == 0
+        and report.sharded.unexplained_misses == 0
+        and report.sharded.match_parity
+        and agreed
+    )
+    return footer, healthy
+
+
+def _sharded_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
+    from .faults import ShardedChaosSimulation, build_sharded_plan
     from .sharding import ShardMap
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    horizon = max(float(args.events), 300.0)
+    broker, points, publishers, started = _chaos_workload(args)
     scenario = args.sharded_scenario
     try:
         shard_map = ShardMap.plan(broker.partition, args.shards)
@@ -1019,80 +1075,46 @@ def _cmd_chaos_sharded(args: argparse.Namespace) -> int:
             loss=args.loss,
             duplicate=args.duplicate,
             scenario=scenario,
-            horizon=horizon,
+            horizon=max(float(args.events), 300.0),
             migrations=args.migrations,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _PlanError(str(error)) from error
     simulation = ShardedChaosSimulation(
         broker,
         plan,
         num_shards=args.shards,
         shard_homes=homes,
         migrations=planned,
+        telemetry=telemetry,
     )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
+    _set_retry_budget(simulation, args)
     report = simulation.run(points, publishers)
-    print(
+    header = (
         f"sharded run ({scenario}): {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, {args.shards} shards at homes {homes}"
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    reference = unsharded_match_digest(
-        broker, points, simulation.serviced_sequences
-    )
-    agreed = reference == report.sharded.match_digest
-    print(f"\nunsharded reference digest: {reference}")
-    print(f"digest agreement: {'yes' if agreed else 'NO'}")
-    # The scale-out guarantees: every event in exactly one outcome
-    # bucket, nobody delivered twice, every miss explained by a
-    # physically-severed target, and the sharded MatchResults
-    # digest-identical to a single unsharded broker's.
-    healthy = (
-        report.sharded.accounted
-        and report.duplicate_deliveries == 0
-        and report.sharded.unexplained_misses == 0
-        and report.sharded.match_parity
-        and agreed
-    )
+    footer, healthy = _digest_parity(broker, points, simulation, report)
+    sharded = report.sharded
     if scenario == "shard-kill":
-        healthy = healthy and report.sharded.shard_kills >= 1
+        healthy = healthy and sharded.shard_kills >= 1
     if scenario == "migration-crash":
         healthy = (
             healthy
-            and report.sharded.shard_kills >= 1
-            and report.sharded.migrations_completed
-            + report.sharded.migrations_aborted
+            and sharded.shard_kills >= 1
+            and sharded.migrations_completed + sharded.migrations_aborted
             >= 1
         )
     if scenario == "clean":
         healthy = healthy and report.exactly_once
-    return 0 if healthy else 1
+    return _ChaosResult(report, [header], footer, healthy, started)
 
 
-def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
-    from .faults import (
-        FullStackChaosSimulation,
-        RetryConfig,
-        build_cluster_plan,
-        unsharded_match_digest,
-    )
-    from .faults.verifier import build_chaos_testbed
+def _cluster_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
+    from .faults import FullStackChaosSimulation, build_cluster_plan
     from .sharding import ShardMap
 
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    horizon = max(float(args.events), 300.0)
+    broker, points, publishers, started = _chaos_workload(args)
     scenario = args.cluster_scenario
     try:
         shard_map = ShardMap.plan(broker.partition, args.shards)
@@ -1103,12 +1125,11 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
             loss=args.loss,
             duplicate=args.duplicate,
             scenario=scenario,
-            horizon=horizon,
+            horizon=max(float(args.events), 300.0),
             standby_count=args.standbys,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _PlanError(str(error)) from error
     simulation = FullStackChaosSimulation(
         broker,
         plan,
@@ -1117,61 +1138,37 @@ def _cmd_chaos_cluster(args: argparse.Namespace) -> int:
         shard_homes=homes,
         migrations=planned,
         corruptions=corruptions,
+        telemetry=telemetry,
     )
-    simulation.transport.config = RetryConfig.for_network(
-        simulation.network, max_attempts=args.max_attempts
-    )
+    _set_retry_budget(simulation, args)
     report = simulation.run(points, publishers)
-    print(
+    header = (
         f"cluster run ({scenario}): {broker.topology.num_nodes} nodes, "
         f"{len(points)} events, {args.shards} replicated shards at "
         f"homes {homes}, standbys {standby_map}"
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    reference = unsharded_match_digest(
-        broker, points, simulation.serviced_sequences
-    )
-    agreed = reference == report.sharded.match_digest
-    print(f"\nunsharded reference digest: {reference}")
-    print(f"digest agreement: {'yes' if agreed else 'NO'}")
-    # The full-stack guarantees: every event in exactly one outcome
-    # bucket, nobody delivered twice, every miss explained by a
-    # physically-severed target, digest parity with one unsharded
-    # never-failed broker — plus the scenario's takeovers actually
-    # happened instead of falling back to ring exclusion.
-    healthy = (
-        report.sharded.accounted
-        and report.duplicate_deliveries == 0
-        and report.sharded.unexplained_misses == 0
-        and report.sharded.match_parity
-        and agreed
-    )
+    footer, healthy = _digest_parity(broker, points, simulation, report)
+    # The scenario's takeovers must actually have happened instead of
+    # falling back to ring exclusion.
+    cluster = report.cluster
+    healthy = healthy and cluster.takeovers >= 1
     if scenario == "kill":
-        healthy = (
-            healthy
-            and report.cluster.takeovers >= 1
-            and report.cluster.probe_rejections >= 1
-        )
+        healthy = healthy and cluster.probe_rejections >= 1
     if scenario == "partition":
-        healthy = (
-            healthy
-            and report.cluster.takeovers >= 1
-            and report.cluster.stale_rejections >= 1
-        )
+        healthy = healthy and cluster.stale_rejections >= 1
     if scenario == "double-kill":
-        healthy = healthy and report.cluster.takeovers >= 2
+        healthy = healthy and cluster.takeovers >= 2
     if scenario == "migrate-under-kill":
         healthy = (
             healthy
-            and report.cluster.takeovers >= 1
             and report.sharded.migrations_completed
             + report.sharded.migrations_aborted
             >= 1
         )
-    return 0 if healthy else 1
+    return _ChaosResult(report, [header], footer, healthy, started)
 
 
-def _cmd_chaos_sessions(args: argparse.Namespace) -> int:
+def _sessions_mode(args: argparse.Namespace, telemetry) -> _ChaosResult:
     from .faults.sessions import build_session_chaos
 
     scenario = args.session_scenario
@@ -1179,44 +1176,40 @@ def _cmd_chaos_sessions(args: argparse.Namespace) -> int:
     if args.lease is not None:
         overrides["lease"] = args.lease
     try:
-        simulation, points, publishers, arrival_times = (
-            build_session_chaos(
-                scenario,
-                seed=args.seed,
-                events=args.events,
-                subscriptions=args.subscriptions,
-                loss=args.loss,
-                **overrides,
-            )
+        simulation, points, publishers, arrival_times = build_session_chaos(
+            scenario,
+            seed=args.seed,
+            events=args.events,
+            subscriptions=args.subscriptions,
+            loss=args.loss,
+            telemetry=telemetry,
+            **overrides,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _PlanError(str(error)) from error
+    started = perf_counter()
     report = simulation.run(points, publishers, arrival_times)
-    print(
+    header = (
         f"session run ({scenario}): "
         f"{simulation.broker.topology.num_nodes} nodes, "
         f"{len(points)} events, {len(report.sessions)} durable "
         f"sessions (victim {simulation.victim.session_id}, "
         f"ghost {simulation.ghost.session_id})"
     )
-    print(format_table(("metric", "value"), report.summary_rows()))
     # The session guarantees: every matched obligation in exactly one
     # terminal bucket, no application-level duplicates, the ghost
     # demoted by lease — plus the scenario's machinery actually fired.
     healthy = report.at_least_once and report.lease_expirations >= 1
+    footer = []
     if scenario in ("crash", "flap"):
         victim = simulation.victim.session_id
-        settled = (
-            simulation.delivered_seqs[victim]
-            | {
-                entry.sequence
-                for entry in simulation.dlq.entries()
-                if entry.session_id == victim
-            }
-        )
+        settled = simulation.delivered_seqs[victim] | {
+            entry.sequence
+            for entry in simulation.dlq.entries()
+            if entry.session_id == victim
+        }
         parity = settled == simulation.matched_seqs[victim]
-        print(
+        footer.append(
             f"\nvictim catch-up parity: "
             f"{'yes' if parity else 'NO'} "
             f"({len(simulation.delivered_seqs[victim])} delivered of "
@@ -1227,7 +1220,30 @@ def _cmd_chaos_sessions(args: argparse.Namespace) -> int:
         healthy = healthy and report.shed_retained >= 1
     if scenario == "poison":
         healthy = healthy and report.dlq_by_reason.get("nack", 0) >= 1
-    return 0 if healthy else 1
+    return _ChaosResult(report, [header], footer, healthy, started)
+
+
+#: Mode flag (argparse dest) -> runner; no flag runs the plain chaos
+#: replay.  ``repro chaos``, ``repro stats`` and ``repro trace`` all
+#: select and build their run through this table.
+_CHAOS_MODES = {
+    "overload": _overload_mode,
+    "crash_recovery": _crash_recovery_mode,
+    "failover": _failover_mode,
+    "sharded": _sharded_mode,
+    "cluster": _cluster_mode,
+    "sessions": _sessions_mode,
+}
+
+
+def _chaos_mode(args: argparse.Namespace):
+    """The runner the mode flags select; two or more flags: exit 2."""
+    chosen = [dest for dest in _CHAOS_MODES if getattr(args, dest)]
+    if len(chosen) > 1:
+        flags = " and ".join("--" + d.replace("_", "-") for d in chosen)
+        print(f"error: {flags} are mutually exclusive", file=sys.stderr)
+        raise SystemExit(2)
+    return _CHAOS_MODES[chosen[0]] if chosen else _plain_mode
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
@@ -1356,240 +1372,42 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import ChaosSimulation, RetryConfig
-    from .faults.verifier import build_chaos_plan, build_chaos_testbed
-
-    modes = [
-        name
-        for name, active in [
-            ("--overload", args.overload),
-            ("--crash-recovery", args.crash_recovery),
-            ("--failover", args.failover),
-            ("--sharded", args.sharded),
-            ("--cluster", args.cluster),
-            ("--sessions", args.sessions),
-        ]
-        if active
-    ]
-    if len(modes) > 1:
-        print(
-            f"error: {' and '.join(modes)} are mutually exclusive",
-            file=sys.stderr,
-        )
+    try:
+        result = _chaos_mode(args)(args, None)
+    except _PlanError as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.overload:
-        return _cmd_chaos_overload(args)
-    if args.crash_recovery:
-        return _cmd_chaos_crash_recovery(args)
-    if args.failover:
-        return _cmd_chaos_failover(args)
-    if args.sharded:
-        return _cmd_chaos_sharded(args)
-    if args.cluster:
-        return _cmd_chaos_cluster(args)
-    if args.sessions:
-        return _cmd_chaos_sessions(args)
-
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-    )
-    broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
-    plan = build_chaos_plan(
-        broker.topology,
-        seed=args.seed,
-        loss=args.loss,
-        duplicate=args.duplicate,
-        crashes=args.crashes,
-        crash_length=args.crash_length,
-        horizon=float(args.events),
-    )
-    simulation = ChaosSimulation(
-        broker, plan, reliable=not args.unreliable
-    )
-    if not args.unreliable:
-        simulation.transport.config = RetryConfig.for_network(
-            simulation.network, max_attempts=args.max_attempts
-        )
-    report = simulation.run(points, publishers)
-    print(
-        f"chaos run: {broker.topology.num_nodes} nodes, "
-        f"{len(points)} events, loss={args.loss}, "
-        f"crashes={args.crashes}x{args.crash_length}"
-    )
-    print(format_table(("metric", "value"), report.summary_rows()))
-    if report.missing:
-        print("\nfirst missing deliveries (event, subscriber, reason):")
-        for sequence, subscriber, reason in report.missing[:10]:
-            print(f"  event {sequence} -> node {subscriber}: {reason}")
-        if len(report.missing) > 10:
-            print(f"  ... and {len(report.missing) - 10} more")
-    if args.unreliable:
-        return 0
-    return 0 if report.exactly_once else 1
+    for line in result.header:
+        print(line)
+    print(format_table(("metric", "value"), result.report.summary_rows()))
+    for line in result.footer:
+        print(line)
+    return 0 if result.healthy else 1
 
 
 def _run_instrumented(args: argparse.Namespace):
-    """One fully-instrumented reliable chaos run (stats/trace share it).
+    """One fully-instrumented chaos run (stats/trace share it).
 
     Both verbs build the workload from the same seeds, so a given
     ``--seed/--events/...`` combination always produces the identical
     simulated timeline — ``repro trace --event N`` dumps exactly the
-    event ``repro stats`` counted.
+    event ``repro stats`` counted.  The chaos flags the two verbs do
+    not define keep their ``repro chaos`` defaults.
     """
-    from time import perf_counter
-
-    from .faults import (
-        ChaosSimulation,
-        CrashRecoverySimulation,
-        OverloadChaosSimulation,
-        build_crash_recovery_plan,
-    )
-    from .faults.verifier import (
-        build_burst_storm_times,
-        build_chaos_plan,
-        build_chaos_testbed,
-    )
     from .telemetry import Telemetry
 
-    crash_recovery = getattr(args, "crash_recovery", False)
-    failover = getattr(args, "failover", False)
-    cluster = getattr(args, "cluster", False)
-    if sum(
-        (
-            crash_recovery,
-            failover,
-            cluster,
-            bool(getattr(args, "overload", False)),
-        )
-    ) > 1:
-        print(
-            "error: --overload, --crash-recovery, --failover and "
-            "--cluster are mutually exclusive",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    broker, density = build_chaos_testbed(
-        seed=args.seed,
-        subscriptions=args.subscriptions,
-        num_groups=args.groups,
-        dynamic=crash_recovery or failover,
-    )
-    if crash_recovery or failover:
-        # Recovery rebuilds the engine through the dynamic machinery,
-        # so the DynamicPubSubBroker must survive: set in place.
-        broker.policy = ThresholdPolicy(args.threshold)
-    else:
-        broker = broker.with_policy(ThresholdPolicy(args.threshold))
-    points, publishers = PublicationGenerator(
-        density, broker.topology.all_stub_nodes(), seed=args.seed + 9
-    ).generate(args.events)
+    chaos_args = _build_parser().parse_args(["chaos"])
+    vars(chaos_args).update(vars(args))
+    mode = _chaos_mode(chaos_args)
     telemetry = Telemetry(seed=args.seed)
-    started = perf_counter()
-    if crash_recovery:
-        plan, home = build_crash_recovery_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = CrashRecoverySimulation(
-            broker, plan, home=home, telemetry=telemetry
-        )
-        report = simulation.run(points, publishers)
-    elif failover:
-        from .faults import FailoverChaosSimulation, build_failover_plan
-
-        inter_arrival = 2.0
-        plan, primary, standbys = build_failover_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            scenario="kill",
-            horizon=max(args.events * inter_arrival, 500.0),
-        )
-        simulation = FailoverChaosSimulation(
-            broker, plan, standbys, primary=primary, telemetry=telemetry
-        )
-        report = simulation.run(
-            points, publishers, inter_arrival=inter_arrival
-        )
-    elif cluster:
-        from .faults import (
-            FullStackChaosSimulation,
-            RetryConfig,
-            build_cluster_plan,
-        )
-        from .sharding import ShardMap
-
-        num_shards = getattr(args, "shards", 4)
-        shard_map = ShardMap.plan(broker.partition, num_shards)
-        plan, homes, standby_map, planned, corruptions = build_cluster_plan(
-            broker.topology,
-            shard_map,
-            seed=args.seed,
-            loss=args.loss,
-            scenario=getattr(args, "cluster_scenario", "kill"),
-            horizon=max(float(args.events), 300.0),
-            standby_count=getattr(args, "standbys", 2),
-        )
-        simulation = FullStackChaosSimulation(
-            broker,
-            plan,
-            standby_map,
-            num_shards=num_shards,
-            shard_homes=homes,
-            migrations=planned,
-            corruptions=corruptions,
-            telemetry=telemetry,
-        )
-        simulation.transport.config = RetryConfig.for_network(
-            simulation.network,
-            max_attempts=getattr(args, "max_attempts", 6),
-        )
-        report = simulation.run(points, publishers)
-    elif getattr(args, "overload", False):
-        plan = build_chaos_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = OverloadChaosSimulation(
-            broker, plan, reliable=True, telemetry=telemetry
-        )
-        report = simulation.run(
-            points, publishers, build_burst_storm_times(args.events)
-        )
-    else:
-        plan = build_chaos_plan(
-            broker.topology,
-            seed=args.seed,
-            loss=args.loss,
-            crashes=args.crashes,
-            crash_length=args.crash_length,
-            horizon=float(args.events),
-        )
-        simulation = ChaosSimulation(
-            broker, plan, reliable=True, telemetry=telemetry
-        )
-        report = simulation.run(points, publishers)
-    wall = perf_counter() - started
-    return report, telemetry, wall
+    result = mode(chaos_args, telemetry)
+    return result, telemetry, perf_counter() - result.started
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from .telemetry.exporters import write_prometheus, write_spans_jsonl
 
-    report, telemetry, wall = _run_instrumented(args)
+    result, telemetry, wall = _run_instrumented(args)
     metrics = telemetry.metrics
 
     def counter(name: str, **labels) -> int:
@@ -1820,31 +1638,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.trace_out:
         write_spans_jsonl(telemetry.tracer.spans, args.trace_out)
         print(f"wrote {args.trace_out} ({len(telemetry.tracer.spans)} spans)")
-    if hasattr(report, "cluster"):
-        # Full-stack guarantees: ledger closed, zero duplicates, every
-        # miss explained, match parity — and the scenario's kill was
-        # answered by a takeover, not ring exclusion.
-        healthy = (
-            report.sharded.accounted
-            and report.duplicate_deliveries == 0
-            and report.sharded.unexplained_misses == 0
-            and report.sharded.match_parity
-            and report.cluster.takeovers >= 1
-        )
-        return 0 if healthy else 1
-    if hasattr(report, "failover"):
-        # A permanent kill leaves the killed node's own subscribers
-        # unreachable, so exactly-once cannot hold; the replication
-        # guarantees are the outcome ledger and zero duplicates.
-        healthy = (
-            report.failover.accounted
-            and report.duplicate_deliveries == 0
-            and report.replication.failovers >= 1
-        )
-        return 0 if healthy else 1
-    if hasattr(report, "exactly_once"):
-        return 0 if report.exactly_once else 1
-    return 0 if report.accounted and report.within_capacity else 1
+    return 0 if result.healthy else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

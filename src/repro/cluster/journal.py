@@ -22,15 +22,13 @@ log.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..durability.snapshot import Snapshot, SnapshotStore
 from ..durability.wal import RecordKind, WriteAheadLog
 from ..geometry.rectangle import Rectangle
-from ..io import _decode_bound, _encode_bound
+from ..io import _decode_bound, _encode_bound, canonical_digest
 from ..telemetry.base import Telemetry, or_null
 
 __all__ = [
@@ -89,10 +87,7 @@ class RecoveredShardState:
             ],
             "checkpoint_lsn": self.checkpoint_lsn,
         }
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
+        return canonical_digest(body)
 
 
 class ShardJournal:

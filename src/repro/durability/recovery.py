@@ -29,8 +29,6 @@ usable broker and an honest report of what it could not salvage.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
@@ -38,7 +36,7 @@ from ..clustering.grid import EventGrid
 from ..clustering.groups import SpacePartition
 from ..core.subscription import SubscriptionTable
 from ..geometry.rectangle import Rectangle
-from ..io import table_to_dict
+from ..io import canonical_digest, table_to_dict
 from ..telemetry.base import Telemetry, or_null
 from .snapshot import SnapshotStore
 from .wal import RecordKind, WriteAheadLog
@@ -109,12 +107,7 @@ class RecoveredState:
                 sid: dict(sorted(entry.items()))
                 for sid, entry in sorted(self.sessions.items())
             }
-        canonical = json.dumps(
-            body, sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
+        return canonical_digest(body)
 
 
 def _decode_bound(value) -> float:

@@ -21,13 +21,12 @@ newest *valid* one, mirroring the WAL's truncate-don't-trust policy.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ..io import atomic_write_text
+from ..io import atomic_write_text, canonical_digest
 
 __all__ = [
     "Snapshot",
@@ -89,8 +88,7 @@ class Snapshot:
 
     def digest(self) -> str:
         """Content digest (excludes the digest field itself)."""
-        body = _canonical(self._payload_body())
-        return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
+        return canonical_digest(self._payload_body())
 
     @classmethod
     def from_dict(cls, payload: Dict) -> Snapshot:

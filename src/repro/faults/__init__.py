@@ -2,53 +2,45 @@
 
 The paper's model (and the seed reproduction) assumes a perfectly
 reliable substrate.  This package supplies the other half of the
-story, in three layers:
+story:
 
 - :mod:`repro.faults.plan` — a deterministic, seedable fault injector:
   per-link loss/duplication/delay, link outage windows, broker
-  crash/restart windows, pluggable into the packet simulator and
-  queryable as a failure detector;
+  crash/restart windows and permanent kills, pluggable into the packet
+  simulator and queryable as a failure detector;
 - :mod:`repro.faults.reliable` — per-message acks, exponential-backoff
   retries with deterministic jitter, bounded retry budgets, and
   per-subscriber dedup, turning at-least-once retransmission into
   exactly-once application delivery;
-- :mod:`repro.faults.verifier` — the chaos harness: replay a workload
-  under a fault plan and verify (or precisely refute) the delivery
-  guarantee, exposed as the ``repro chaos`` CLI subcommand;
-- :mod:`repro.faults.overload` — the saturation harness: the same
-  replay behind the full overload-protection stack
-  (:mod:`repro.overload`), with strict shed/expire accounting and
-  per-subscriber circuit breakers (``repro chaos --overload``);
-- :mod:`repro.faults.crash_recovery` — the durability harness: the
-  chaos replay with a home broker journaling to a write-ahead log
-  (:mod:`repro.durability`), crash windows that wipe volatile state
-  and may corrupt the log, and deterministic snapshot + WAL-replay
-  recovery verified against the delivery ledger
-  (``repro chaos --crash-recovery``);
-- :mod:`repro.faults.failover` — the replication harness: the home
-  broker becomes a :mod:`repro.replication` group shipping its WAL to
-  ranked standbys, permanent broker kills and partitions force
-  epoch-fenced takeovers, and a per-event outcome ledger proves
-  ``delivered + shed + expired == published`` with zero duplicates
-  across failovers (``repro chaos --failover``);
-- :mod:`repro.faults.sharded` — the scale-out harness: the workload
-  routed across K shard brokers (:mod:`repro.sharding`) with live
-  migrations, permanent shard kills, mid-migration crashes and
-  partition-stranded shards, proving the same outcome ledger *and*
-  per-event match parity with a single unsharded broker
-  (``repro chaos --sharded``);
-- :mod:`repro.faults.cluster` — the full-stack harness: every shard
-  becomes a :mod:`repro.cluster` replicated group with a cluster-wide
-  membership detector, and simultaneous shard kills, partitions,
-  mid-copy migration crashes and standby WAL corruption are answered
-  by fenced standby takeovers instead of stranding, under the same
-  ledger and unsharded-digest parity (``repro chaos --cluster``);
-- :mod:`repro.faults.sessions` — the subscriber-side harness: durable
-  sessions (:mod:`repro.sessions`) at deterministic stub nodes abused
-  by scripted crash / flap / slow-consumer / poison scenarios, with a
-  per-(event, session) ledger proving ``delivered + deadlettered +
-  expired == matched`` with zero duplicates across reconnects and
-  catch-up replay (``repro chaos --sessions``).
+- :mod:`repro.faults.harness` — the chaos-harness core every harness
+  below runs on, owning each shared piece once: set-up (simulator,
+  injector, simulated-clock telemetry, packet network, reliable
+  transport, workload check), the per-event outcome ledger
+  (``_finish`` raises when an event is accounted twice), the bounded
+  TTL defer queue for events with no serviceable home, the paper's
+  route step (unicast fan-out or one multicast tree over ``S_q``), and
+  the home-reachability checks.
+
+The harnesses differ only in the layer they put under test and the
+guarantee they prove (``repro chaos --<mode>``):
+
+- :mod:`repro.faults.verifier` — exactly-once delivery under loss and
+  crashes (``repro chaos``);
+- :mod:`repro.faults.overload` — the :mod:`repro.overload` protection
+  stack under saturation (``--overload``);
+- :mod:`repro.faults.crash_recovery` — a journaled home broker
+  recovering from snapshot + WAL replay (``--crash-recovery``);
+- :mod:`repro.faults.failover` — a :mod:`repro.replication` group
+  surviving permanent primary loss through fenced takeovers
+  (``--failover``);
+- :mod:`repro.faults.sharded` — K :mod:`repro.sharding` shards with
+  live migrations and shard kills, matching digest-identically to one
+  unsharded broker (``--sharded``);
+- :mod:`repro.faults.cluster` — every shard a :mod:`repro.cluster`
+  replicated group under one membership detector (``--cluster``);
+- :mod:`repro.faults.sessions` — durable subscriber sessions
+  (:mod:`repro.sessions`) under crash / flap / slow-consumer / poison
+  abuse, with a per-(event, session) ledger (``--sessions``).
 """
 
 from .cluster import (

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..cluster.membership import MemberState, Membership, MembershipConfig
@@ -42,9 +41,10 @@ from ..replication.epoch import EpochDirectory
 from ..replication.shipping import ShippingConfig, ShippingStats
 from ..sharding.map import ShardMap
 from ..telemetry.base import Telemetry
+from .harness import SETTLE
 from .plan import BrokerKill, FaultPlan, LinkOutage
-from .reliable import RetryConfig
 from .sharded import (
+    ROUTE_DELAY,
     PlannedMigration,
     ShardedChaosSimulation,
     ShardedReport,
@@ -198,19 +198,8 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         shard_homes: Optional[Sequence[int]] = None,
         migrations: Sequence[PlannedMigration] = (),
         corruptions: Sequence[StandbyWALCorruption] = (),
-        membership: Optional[MembershipConfig] = None,
         shipping: Optional[ShippingConfig] = None,
         checkpoint_every: int = 64,
-        settle: float = 250.0,
-        route_delay: float = 0.5,
-        defer_capacity: int = 256,
-        defer_ttl: float = 250.0,
-        rebalance_delay: float = 30.0,
-        virtual_nodes: int = 64,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         super().__init__(
@@ -219,15 +208,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             num_shards=num_shards,
             shard_homes=shard_homes,
             migrations=migrations,
-            route_delay=route_delay,
-            defer_capacity=defer_capacity,
-            defer_ttl=defer_ttl,
-            rebalance_delay=rebalance_delay,
-            virtual_nodes=virtual_nodes,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
             telemetry=telemetry,
         )
         missing = [k for k in range(num_shards) if not standby_map.get(k)]
@@ -236,7 +216,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                 f"FullStackChaosSimulation: every shard needs at least one "
                 f"standby (got none for shards {missing})"
             )
-        self.settle = float(settle)
         self.corruptions = tuple(corruptions)
         self.cstats = ClusterStats()
         #: One cluster-wide directory: takeovers chain old → new home.
@@ -267,9 +246,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             {int(h) for h in self.homes.values()}
             | {int(s) for k in range(num_shards) for s in standby_map[k]}
         )
-        self.membership = Membership(
-            nodes, membership or MembershipConfig(), now=0.0
-        )
+        self.membership = Membership(nodes, MembershipConfig(), now=0.0)
 
     # -- replication wire ----------------------------------------------------
 
@@ -294,7 +271,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
 
     # -- scheduling ----------------------------------------------------------
 
-    def _arm(self, arrival_times: Sequence[float]) -> None:
+    def _arm(self, last_arrival: float) -> None:
         for kill in self.plan.broker_kills:
             self.simulator.schedule_at(
                 float(kill.at),
@@ -310,9 +287,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                 float(corruption.at),
                 lambda c=corruption: self._corrupt_standby(c),
             )
-        end = (
-            float(arrival_times[-1]) if len(arrival_times) else 0.0
-        ) + self.settle
+        end = last_arrival + SETTLE
         interval = self.membership.config.heartbeat_interval
         t = interval
         while t <= end:
@@ -322,24 +297,9 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
     # -- the cluster clock ---------------------------------------------------
 
     def _majority_component(self, state) -> Set[int]:
-        """Largest surviving network component, weighted by how many
-        cluster members it holds (ties: size, then lowest node)."""
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            [n for n in list(graph.nodes) if state.node_dead(n)]
-        )
-        graph.remove_edges_from(
-            [(u, v) for u, v in list(graph.edges) if state.link_dead(u, v)]
-        )
-        components = list(nx.connected_components(graph))
-        if not components:
-            return set()
-        members = set(self.membership.nodes)
-        return set(
-            max(
-                components,
-                key=lambda c: (len(c & members), len(c), -min(c)),
-            )
+        """Surviving network component holding the most cluster members."""
+        return self._majority(
+            self._components(state=state), self.membership.nodes
         )
 
     def _cluster_tick(self) -> None:
@@ -544,44 +504,23 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
 
     # -- routing under failover ----------------------------------------------
 
-    def _home_unserviceable(self, shard: int, now: float) -> bool:
-        """Whether the shard's acting home cannot serve right now —
-        killed, crashed, or cut off on every incident link."""
-        home = self.homes.get(shard)
-        if home is None:
-            return True
-        if self.injector.node_down(home, now):
-            return True
-        state = self.injector.state_at(now)
-        if state.clear:
-            return False
-        neighbors = list(self.broker.topology.graph.neighbors(home))
-        return bool(neighbors) and all(
-            state.link_dead(home, n) for n in neighbors
+    def _unavailable(self, shard: int) -> bool:
+        # A shard whose acting home is down-but-not-failed-over yet (the
+        # membership detection window) defers instead of serving from a
+        # dead node; the post-takeover flush drains it.
+        return super()._unavailable(shard) or self._home_unserviceable(
+            self.homes.get(shard), self.simulator.now
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        q, shard = self.router.resolve(points[sequence])
+    def _publish_event(self, sequence: int) -> None:
+        q, shard = self.router.resolve(self._points[sequence])
         home = self.homes.get(shard)
         rshard = self.replicated.get(shard)
         cluster_epoch = rshard.epoch if rshard is not None else 0
         self.simulator.schedule_at(
-            self.simulator.now + self.route_delay,
+            self.simulator.now + ROUTE_DELAY,
             lambda: self._arrive_cluster(
-                sequence,
-                q,
-                shard,
-                home,
-                cluster_epoch,
-                points,
-                publishers,
-                counters,
+                sequence, q, shard, home, cluster_epoch
             ),
         )
 
@@ -592,9 +531,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         shard: int,
         home: Optional[int],
         cluster_epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
     ) -> None:
         rshard = self.replicated.get(shard)
         if (
@@ -617,55 +553,7 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
                     "cluster.failover_reroutes",
                     help="publishes re-resolved after a takeover",
                 ).inc()
-        self._arrive(
-            sequence, q, shard, self.map.epoch, points, publishers, counters
-        )
-
-    def _arrive(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        # A shard whose acting home is down-but-not-failed-over yet (the
-        # membership detection window) defers instead of serving from a
-        # dead node; the post-takeover flush drains it.
-        current_q, current = self.router.resolve(points[sequence])
-        if (
-            current == shard
-            and shard not in self._dead
-            and self._home_unserviceable(shard, self.simulator.now)
-        ):
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (self.simulator.now, sequence, points, publishers, counters)
-            )
-            self.sstats.deferred_events += 1
-            return
-        super()._arrive(
-            sequence, q, shard, epoch, points, publishers, counters
-        )
-
-    def _flush_deferred(self) -> None:
-        now = self.simulator.now
-        keep: List[Tuple[float, int, np.ndarray, Sequence[int], Dict]] = []
-        for at, sequence, points, publishers, counters in self._deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            q, shard = self.router.resolve(points[sequence])
-            if shard in self._dead or self._home_unserviceable(shard, now):
-                keep.append((at, sequence, points, publishers, counters))
-                continue
-            self._finish(sequence, "delivered")
-            self._serve(sequence, q, shard, points, publishers, counters)
-        self._deferred = keep
+        self._arrive(sequence, q, shard)
 
     # -- durability taps -----------------------------------------------------
 
@@ -714,10 +602,6 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ClusterReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
-        # The base classifier only knows dead *shards*; with failover a
-        # killed node usually is not any shard's current home, so
-        # reclassify misses against ground-truth killed nodes too.
-        self._reclassify_misses(base)
         shipping = ShippingStats()
         for k in sorted(self.replicated):
             shard = self.replicated[k]
@@ -750,37 +634,19 @@ class FullStackChaosSimulation(ShardedChaosSimulation):
             **vars(base), cluster=self.cstats, shipping=shipping
         )
 
-    def _reclassify_misses(self, base) -> None:
-        """Re-split misses into stranded vs unexplained with killed
-        nodes removed from the reachability graph (a stub whose only
-        gateway transit node was killed is physically unreachable from
-        any live home — an explained loss, not a protocol bug)."""
-        self.sstats.stranded_misses = 0
-        self.sstats.unexplained_misses = 0
-        if not base.missing:
-            return
+    def _severed(self) -> List[int]:
+        """Ground-truth killed nodes as well as the dead shards' homes:
+        with failover a killed node usually is not any shard's current
+        home, yet a stub whose only gateway it was is physically
+        unreachable from any live home — an explained loss, not a
+        protocol bug."""
         now = self.simulator.now
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            [n for n in list(graph.nodes) if self.injector.node_killed(n, now)]
-        )
-        graph.remove_nodes_from(
-            [
-                self.homes[s]
-                for s in self._dead
-                if self.homes[s] in graph
-            ]
-        )
-        reachable: Set[int] = set()
-        for shard in range(self.map.num_shards):
-            home = self.homes[shard]
-            if shard not in self._dead and home in graph:
-                reachable |= nx.node_connected_component(graph, home)
-        for _sequence, target, _reason in base.missing:
-            if int(target) in reachable:
-                self.sstats.unexplained_misses += 1
-            else:
-                self.sstats.stranded_misses += 1
+        killed = [
+            n
+            for n in self.broker.topology.graph.nodes
+            if self.injector.node_killed(n, now)
+        ]
+        return killed + super()._severed()
 
 
 def build_cluster_plan(

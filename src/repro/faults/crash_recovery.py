@@ -26,7 +26,7 @@ home node's :class:`~repro.faults.plan.BrokerCrash` windows crash the
   to the transport (receiver dedup makes redelivery exactly-once);
   deferred events are then published.
 
-The :class:`~repro.faults.verifier.DeliveryLedger` closes the loop: a
+The :class:`~repro.faults.harness.DeliveryLedger` closes the loop: a
 clean (uncorrupted) run must come out **exactly-once** across every
 crash/restart, and a corrupted run must recover deterministically —
 truncating at the last CRC-valid record, never raising, never
@@ -35,8 +35,9 @@ delivering anything twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from ..durability.snapshot import MemorySnapshotStore, SnapshotStore
 from ..durability.wal import MemoryWAL, WriteAheadLog
 from ..telemetry.base import Telemetry
 from .plan import BrokerCrash, FaultPlan, WalCorruption
-from .reliable import RetryConfig
 from .verifier import ChaosReport, ChaosSimulation
 
 __all__ = [
@@ -111,7 +111,12 @@ class CrashRecoverySimulation(ChaosSimulation):
     plan's first crash window; every crash window on that node drives
     one crash/recover cycle (windows on other nodes behave as in the
     plain chaos harness — dead routers, no durability semantics).
+    Events arriving while the service is down wait, unbounded and
+    without a TTL, until it recovers.
     """
+
+    defer_capacity = math.inf
+    defer_ttl = math.inf
 
     def __init__(
         self,
@@ -121,10 +126,6 @@ class CrashRecoverySimulation(ChaosSimulation):
         wal: Optional[WriteAheadLog] = None,
         snapshots: Optional[SnapshotStore] = None,
         checkpoint_every: int = 64,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         if not hasattr(broker, "attach_journal"):
@@ -133,16 +134,7 @@ class CrashRecoverySimulation(ChaosSimulation):
                 "(DynamicPubSubBroker); got "
                 f"{type(broker).__name__}"
             )
-        super().__init__(
-            broker,
-            plan,
-            reliable=True,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
-        )
+        super().__init__(broker, plan, reliable=True, telemetry=telemetry)
         if home is None:
             if not plan.crashes:
                 raise ValueError(
@@ -172,7 +164,6 @@ class CrashRecoverySimulation(ChaosSimulation):
         )
         self.dstats = DurabilityStats()
         self._down = False
-        self._deferred: List[Tuple[int, np.ndarray, Sequence[int], Dict]] = []
         # Bootstrap checkpoint: the preprocessed state (table, groups,
         # partition) becomes snapshot 0, so even a crash before any
         # journaled traffic recovers the full subscription set.
@@ -180,7 +171,7 @@ class CrashRecoverySimulation(ChaosSimulation):
 
     # -- hook overrides ------------------------------------------------------
 
-    def _arm(self, arrival_times: Sequence[float]) -> None:
+    def _arm(self, last_arrival: float) -> None:
         # Scheduled before the workload, so at equal times the crash /
         # recovery callbacks run first (half-open windows: an event at
         # t == start finds the service down, one at t == end finds it
@@ -205,23 +196,20 @@ class CrashRecoverySimulation(ChaosSimulation):
             sequence, publisher, recipients, method=method, group=group
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
+    def _publish_event(self, sequence: int) -> None:
         if self._down:
-            self._deferred.append((sequence, points, publishers, counters))
-            self.dstats.deferred_events += 1
+            self._defer(sequence)
             if self.telemetry.enabled:
                 self.telemetry.counter(
                     "broker.deferred",
                     help="events deferred while the home broker was down",
                 ).inc()
             return
-        super()._publish_event(sequence, points, publishers, counters)
+        super()._publish_event(sequence)
+
+    def _serve_deferred(self, sequence: int) -> bool:
+        self._publish_event(sequence)
+        return True
 
     # -- durability plumbing -------------------------------------------------
 
@@ -265,9 +253,7 @@ class CrashRecoverySimulation(ChaosSimulation):
                     entry.sequence, entry.publisher, list(entry.targets)
                 )
                 self.dstats.redelivered += len(entry.targets)
-        deferred, self._deferred = self._deferred, []
-        for sequence, points, publishers, counters in deferred:
-            self._publish_event(sequence, points, publishers, counters)
+        self._flush_deferred()
 
     # -- reporting -----------------------------------------------------------
 
@@ -281,6 +267,7 @@ class CrashRecoverySimulation(ChaosSimulation):
         base = super().run(
             points, publishers, inter_arrival, arrival_times
         )
+        self.dstats.deferred_events = self.deferred_count
         self.dstats.wal_appends = self.wal.appends
         self.dstats.checkpoints = self.journal.checkpoints
         return CrashRecoveryReport(**vars(base), durability=self.dstats)

@@ -37,12 +37,11 @@ import numpy as np
 
 from ..durability.recovery import RecoveredState
 from ..overload.breaker import BreakerBoard, BreakerConfig
-from ..replication.detector import HeartbeatConfig
 from ..replication.group import ReplicatedBrokerGroup, ReplicationStats
 from ..replication.shipping import ShippingConfig, ShippingStats
 from ..telemetry.base import Telemetry
+from .harness import SETTLE, BalancedOutcomes
 from .plan import FaultPlan, LinkOutage, BrokerKill
-from .reliable import RetryConfig
 from .verifier import ChaosReport, ChaosSimulation
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
 
 
 @dataclass
-class FailoverStats:
+class FailoverStats(BalancedOutcomes):
     """Per-event outcome accounting plus takeover bookkeeping."""
 
     published: int = 0
@@ -71,14 +70,6 @@ class FailoverStats:
     probe_rejections: int = 0
     #: Post-takeover write probes admitted at the new primary.
     probe_admissions: int = 0
-
-    @property
-    def accounted(self) -> bool:
-        """The conservation law: every event in exactly one bucket."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
 
 
 @dataclass
@@ -122,7 +113,14 @@ class FailoverChaosSimulation(ChaosSimulation):
     node of the plan's first :class:`~repro.faults.plan.BrokerKill`;
     ``standbys`` is the ranked candidate list (see
     :meth:`~repro.network.topology.Topology.replica_candidates`).
+    Events arriving while no primary is serviceable wait in the
+    harness's defer queue.
     """
+
+    OUTCOME_METRIC = (
+        "failover.outcomes",
+        "per-event outcomes under failover chaos",
+    )
 
     def __init__(
         self,
@@ -131,15 +129,7 @@ class FailoverChaosSimulation(ChaosSimulation):
         standbys: Sequence[int],
         primary: Optional[int] = None,
         shipping: Optional[ShippingConfig] = None,
-        heartbeat: Optional[HeartbeatConfig] = None,
         checkpoint_every: int = 64,
-        defer_capacity: int = 256,
-        defer_ttl: float = 250.0,
-        settle: float = 250.0,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         if not hasattr(broker, "attach_journal"):
@@ -148,22 +138,7 @@ class FailoverChaosSimulation(ChaosSimulation):
                 "(DynamicPubSubBroker); got "
                 f"{type(broker).__name__}"
             )
-        if defer_capacity < 0:
-            raise ValueError(
-                f"defer_capacity must be >= 0 (got {defer_capacity})"
-            )
-        if defer_ttl <= 0.0:
-            raise ValueError(f"defer_ttl must be positive (got {defer_ttl})")
-        super().__init__(
-            broker,
-            plan,
-            reliable=True,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
-        )
+        super().__init__(broker, plan, reliable=True, telemetry=telemetry)
         if primary is None:
             if not plan.broker_kills:
                 raise ValueError(
@@ -171,14 +146,7 @@ class FailoverChaosSimulation(ChaosSimulation):
                     "nothing to fail over from"
                 )
             primary = plan.broker_kills[0].node
-        self.defer_capacity = int(defer_capacity)
-        self.defer_ttl = float(defer_ttl)
-        self.settle = float(settle)
         self.fstats = FailoverStats()
-        self._outcomes: Dict[int, str] = {}
-        self._deferred: List[
-            Tuple[float, int, np.ndarray, Sequence[int], Dict]
-        ] = []
         self.shipping_breakers = BreakerBoard(
             BreakerConfig(failure_threshold=3, reset_timeout=120.0)
         )
@@ -189,7 +157,6 @@ class FailoverChaosSimulation(ChaosSimulation):
             self.simulator,
             send=self._ship,
             shipping=shipping,
-            heartbeat=heartbeat,
             alive=lambda node, time: not self.injector.node_down(node, time),
             checkpoint_every=checkpoint_every,
             breakers=self.shipping_breakers,
@@ -226,54 +193,16 @@ class FailoverChaosSimulation(ChaosSimulation):
             lambda node, time, p=payload: self.group.deliver(node, p, time),
         )
 
-    # -- outcome ledger ------------------------------------------------------
-
-    def _finish(self, sequence: int, outcome: str) -> None:
-        if sequence in self._outcomes:
-            raise RuntimeError(
-                f"event {sequence} accounted twice: "
-                f"{self._outcomes[sequence]} then {outcome}"
-            )
-        self._outcomes[sequence] = outcome
-        if outcome == "delivered":
-            self.fstats.delivered_events += 1
-        elif outcome == "shed":
-            self.fstats.shed_events += 1
-        elif outcome == "expired":
-            self.fstats.expired_events += 1
-        else:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "failover.outcomes",
-                help="per-event outcomes under failover chaos",
-                outcome=outcome,
-            ).inc()
-
-    def _unserviceable(self, now: float) -> bool:
-        """No live, reachable primary right now?"""
-        home = self.group.primary
-        if self.injector.node_down(home, now):
-            return True
-        state = self.injector.state_at(now)
-        if state.clear:
-            return False
-        neighbors = list(self.broker.topology.graph.neighbors(home))
-        return bool(neighbors) and all(
-            state.link_dead(home, n) for n in neighbors
-        )
-
     # -- hook overrides ------------------------------------------------------
 
-    def _arm(self, arrival_times: Sequence[float]) -> None:
+    def _arm(self, last_arrival: float) -> None:
         # Scheduled before the workload, so at equal times kills take
         # effect before an event arriving at the same instant.
         for kill in self.plan.broker_kills:
             self.simulator.schedule_at(
                 float(kill.at), lambda k=kill: self._kill(k.node)
             )
-        horizon = float(arrival_times[-1]) + self.settle
-        self.group.start(horizon)
+        self.group.start(last_arrival + SETTLE)
 
     def _record_intent(
         self,
@@ -287,25 +216,17 @@ class FailoverChaosSimulation(ChaosSimulation):
             sequence, publisher, recipients, method=method, group=group
         )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        now = self.simulator.now
-        if self._unserviceable(now):
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (now, sequence, points, publishers, counters)
-            )
-            self.fstats.deferred_events += 1
+    def _publish_event(self, sequence: int) -> None:
+        if self._home_unserviceable(self.group.primary, self.simulator.now):
+            self._defer(sequence)
             return
         self._finish(sequence, "delivered")
-        super()._publish_event(sequence, points, publishers, counters)
+        super()._publish_event(sequence)
+
+    def _serve_deferred(self, sequence: int) -> bool:
+        self._finish(sequence, "delivered")
+        ChaosSimulation._publish_event(self, sequence)
+        return True
 
     # -- failover plumbing ---------------------------------------------------
 
@@ -344,15 +265,7 @@ class FailoverChaosSimulation(ChaosSimulation):
             self.fstats.probe_admissions += 1
         if not self.group.write_allowed(old):
             self.fstats.probe_rejections += 1
-        deferred, self._deferred = self._deferred, []
-        for at, sequence, points, publishers, counters in deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            self._finish(sequence, "delivered")
-            ChaosSimulation._publish_event(
-                self, sequence, points, publishers, counters
-            )
+        self._flush_deferred()
 
     # -- reporting -----------------------------------------------------------
 
@@ -364,11 +277,9 @@ class FailoverChaosSimulation(ChaosSimulation):
         arrival_times: Optional[Sequence[float]] = None,
     ) -> FailoverReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
-        # Events still deferred at the end never found a primary.
-        leftover, self._deferred = self._deferred, []
-        for _, sequence, *_rest in leftover:
-            self._finish(sequence, "expired")
-        self.fstats.published = len(points)
+        self._expire_deferred()
+        self.fstats.tally(base.events, self._outcome_counts())
+        self.fstats.deferred_events = self.deferred_count
         return FailoverReport(
             **vars(base),
             replication=self.group.finalize_stats(),

@@ -24,7 +24,7 @@ if it matched nobody), *shed* (refused by admission control, the
 health governor, or the queue policy) or *expired* (its TTL lapsed
 inside the broker) — so ``delivered + shed + expired == published``
 holds for every run.  Per-(event, subscriber) delivery truth is still
-tracked by a :class:`~repro.faults.verifier.DeliveryLedger`; expired
+tracked by a :class:`~repro.faults.harness.DeliveryLedger`; expired
 copies are additionally dropped at the *receiver* (counted as late
 drops) rather than delivered past their deadline.
 
@@ -37,21 +37,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.broker import PubSubBroker
-from ..core.distribution import DeliveryMethod, record_decision
+from ..core.distribution import DeliveryMethod
 from ..core.event import Event
 from ..overload import BrokerHealth, OverloadConfig
 from ..simulation.delivery import LatencyStats
-from ..simulation.engine import DiscreteEventSimulator
-from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
-from .plan import FaultInjector, FaultPlan, FaultStats
-from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
-from .verifier import DeliveryLedger
+from ..telemetry.base import Telemetry
+from .harness import BalancedOutcomes, ChaosHarness
+from .plan import FaultPlan, FaultStats
+from .reliable import ReliabilityStats
 
 __all__ = ["EventOutcome", "OverloadReport", "OverloadChaosSimulation"]
 
@@ -61,7 +59,7 @@ EventOutcome = str  # "delivered" | "shed" | "expired"
 
 
 @dataclass
-class OverloadReport:
+class OverloadReport(BalancedOutcomes):
     """Everything one saturated run proved about the protection stack."""
 
     # -- the per-event ledger (delivered + shed + expired == published) --
@@ -91,14 +89,6 @@ class OverloadReport:
     finished_at: float
     fault_stats: FaultStats
     reliability: Optional[ReliabilityStats] = None
-
-    @property
-    def accounted(self) -> bool:
-        """The ledger invariant every run must satisfy."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
 
     @property
     def within_capacity(self) -> bool:
@@ -168,7 +158,7 @@ class OverloadReport:
         return rows
 
 
-class OverloadChaosSimulation:
+class OverloadChaosSimulation(ChaosHarness):
     """Packet-level replay of a publish storm behind overload protection.
 
     Parameters mirror :class:`~repro.faults.verifier.ChaosSimulation`
@@ -184,69 +174,24 @@ class OverloadChaosSimulation:
         plan: FaultPlan,
         config: Optional[OverloadConfig] = None,
         reliable: bool = True,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.broker = broker
-        self.plan = plan
+        super().__init__(broker, plan, telemetry, reliable)
         self.config = config or OverloadConfig()
-        self.reliable = reliable
-        self.simulator = DiscreteEventSimulator()
-        self.injector = FaultInjector(plan)
-        self.telemetry = or_null(telemetry)
-        self.telemetry.bind_clock(lambda: self.simulator.now)
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            injector=self.injector,
-            hop_retries=hop_retries if reliable else 0,
-            telemetry=telemetry,
-        )
         self.queue = self.config.build_queue()
         self.bucket = self.config.build_bucket()
         self.monitor = self.config.build_monitor()
         self.breakers = self.config.build_breakers()
-        self.ledger = DeliveryLedger()
-        #: sequence -> terminal bucket ("delivered" / "shed" / "expired").
-        self.outcomes: Dict[int, EventOutcome] = {}
         self.shed_reasons: Dict[str, int] = {}
         self.degraded_events = 0
         self.late_drops = 0
         self._interested: Dict[int, frozenset] = {}
         self._deadlines: Dict[int, Optional[float]] = {}
         self._serving = False
-        self.transport: Optional[ReliableTransport] = None
         if reliable:
-            self.transport = ReliableTransport(
-                self.network,
-                config=retry or RetryConfig.for_network(self.network),
-                seed=plan.seed + 1,
-                detector=self.injector,
-                on_deliver=self._on_deliver,
-                on_give_up=lambda target, key, reason: (
-                    self.ledger.fail_reasons.__setitem__(
-                        (key, target), reason
-                    )
-                ),
-                telemetry=telemetry,
-                breakers=self.breakers,
-            )
+            self._start_transport(breakers=self.breakers)
 
     # -- accounting helpers --------------------------------------------------
-
-    def _finish(self, sequence: int, outcome: EventOutcome) -> None:
-        """Assign the event its terminal bucket, exactly once."""
-        if sequence in self.outcomes:
-            raise RuntimeError(
-                f"event {sequence} already accounted as "
-                f"{self.outcomes[sequence]!r}"
-            )
-        self.outcomes[sequence] = outcome
 
     def _shed(self, sequence: int, reason: str) -> None:
         self._finish(sequence, "shed")
@@ -365,7 +310,7 @@ class OverloadChaosSimulation:
         now = self.simulator.now
         event = Event.create(
             sequence,
-            int(self._publishers[sequence]),
+            self._publishers[sequence],
             self._points[sequence],
             deadline=self._deadlines.get(sequence),
         )
@@ -421,20 +366,14 @@ class OverloadChaosSimulation:
                 # The broker does not know who is interested, so the
                 # whole group enters the reliable protocol; receivers
                 # run the subscription filter at the application layer.
-                self._dispatch_multicast(
-                    sequence, event, members, targets, root, restrict=None
+                self._route(
+                    sequence, event.publisher, targets, members, span=root
                 )
             if instrumented:
                 root.set_attribute("method", "degraded-multicast").finish()
             return
 
-        group_size = broker.partition.group(q).size if q > 0 else 0
-        decision = broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(telemetry, decision)
+        decision = self._decide(match, q)
         if decision.method is DeliveryMethod.NOT_SENT:
             if instrumented:
                 root.set_attribute("method", "not_sent").finish()
@@ -444,81 +383,22 @@ class OverloadChaosSimulation:
             if instrumented:
                 root.set_attribute("method", "self_only").finish()
             return
-        if decision.method is DeliveryMethod.UNICAST:
-            if self.transport is not None:
-                self.transport.publish(
-                    sequence, event.publisher, recipients, parent_span=root
-                )
-            else:
-                for node in recipients:
-                    self.network.send_unicast(
-                        event.publisher,
-                        node,
-                        lambda n, t, s=sequence: self._on_deliver(n, s, t),
-                    )
-            if instrumented:
-                root.set_attribute("method", "unicast").finish()
-            return
-        members = broker.partition.group(q).members
-        self._dispatch_multicast(
+        group = None
+        if decision.method is not DeliveryMethod.UNICAST:
+            group = broker.partition.group(q).members
+        # Non-interested group members stay out of the reliable protocol.
+        self._route(
             sequence,
-            event,
-            members,
+            event.publisher,
             recipients,
+            group,
+            self._interested[sequence],
             root,
-            restrict=self._interested[sequence],
         )
         if instrumented:
-            root.set_attribute("method", "multicast").finish()
-
-    def _dispatch_multicast(
-        self,
-        sequence: int,
-        event: Event,
-        members: Sequence[int],
-        targets: List[int],
-        root,
-        restrict: Optional[FrozenSet[int]],
-    ) -> None:
-        """One tree flood to ``members``, reliably tracking ``targets``.
-
-        ``restrict`` keeps non-interested group members out of the
-        reliable protocol (the healthy-mode behaviour); ``None`` lets
-        every member ack — degraded mode, where the broker cannot
-        tell who is interested.
-        """
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-        if self.transport is not None:
-            def first_pass(receive, m=members, v=via, allow=restrict):
-                self.network.send_multicast(
-                    event.publisher,
-                    m,
-                    receive
-                    if allow is None
-                    else (
-                        lambda node, time: (
-                            receive(node, time) if node in allow else None
-                        )
-                    ),
-                    via=v,
-                )
-
-            self.transport.publish(
-                sequence,
-                event.publisher,
-                targets,
-                first_pass,
-                parent_span=root,
-            )
-        else:
-            self.network.send_multicast(
-                event.publisher,
-                members,
-                lambda node, time, s=sequence: self._on_deliver(node, s, time),
-                via=via,
-            )
+            root.set_attribute(
+                "method", "unicast" if group is None else "multicast"
+            ).finish()
 
     # -- the run -------------------------------------------------------------
 
@@ -530,19 +410,10 @@ class OverloadChaosSimulation:
         churn: Sequence[Tuple[float, Callable[[], None]]] = (),
     ) -> OverloadReport:
         """Replay the storm and report what the protection stack did."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-        self._points = points
-        self._publishers = [int(p) for p in publishers]
-        for sequence, time in enumerate(arrival_times):
-            self.simulator.schedule_at(
-                float(time), lambda s=sequence: self._ingress(s)
-            )
+        arrival_times, _last = self._load_workload(
+            points, publishers, arrival_times
+        )
+        self._schedule_arrivals(arrival_times, self._ingress)
         for time, action in churn:
             self.simulator.schedule_at(float(time), action)
         finished_at = self.simulator.run()
@@ -557,16 +428,9 @@ class OverloadChaosSimulation:
                 break
             self._shed(sequence, "unserved at simulation end")
 
-        counts = {"delivered": 0, "shed": 0, "expired": 0}
-        for outcome in self.outcomes.values():
-            counts[outcome] += 1
-        default_reason = (
-            "unacknowledged at simulation end"
-            if self.reliable
-            else "lost (no retransmission)"
-        )
+        counts = self._outcome_counts()
         return OverloadReport(
-            published=len(points),
+            published=len(arrival_times),
             delivered_events=counts["delivered"],
             shed_events=counts["shed"],
             expired_events=counts["expired"],
@@ -592,7 +456,7 @@ class OverloadChaosSimulation:
             delivered=self.ledger.delivered_distinct,
             duplicate_deliveries=self.ledger.duplicate_deliveries,
             late_drops=self.late_drops,
-            missing=self.ledger.missing(default_reason),
+            missing=self._missing(),
             latency=LatencyStats.from_samples(self.ledger.latencies),
             finished_at=finished_at,
             fault_stats=self.injector.stats,

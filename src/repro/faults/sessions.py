@@ -29,15 +29,13 @@ ordinary :class:`~repro.faults.reliable.ReliableTransport` (acks,
 retries, dedup, breakers); catch-up replay rides the same transport
 under a token-bucket budget.  A timed-out delivery self-heals: the
 session demotes to CATCHING_UP and the replayer re-derives it from
-the retained log — after ``max_replay_requeues`` such cycles the
+the retained log — after ``MAX_REPLAY_REQUEUES`` such cycles the
 event is declared poison and dead-lettered with a ``timeout`` reason,
 so nothing retries forever.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -45,6 +43,7 @@ import numpy as np
 
 from ..core.broker import PubSubBroker
 from ..core.event import Event
+from ..io import canonical_digest
 from ..overload import BoundedQueue, BreakerBoard, TokenBucket
 from ..sessions import (
     DeadLetterQueue,
@@ -56,12 +55,11 @@ from ..sessions import (
 )
 from ..sessions.replay import CatchupReplayer
 from ..simulation.delivery import LatencyStats
-from ..simulation.engine import DiscreteEventSimulator
-from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry
 from ..workload import PublicationGenerator
-from .plan import BrokerCrash, FaultInjector, FaultPlan, FaultStats
-from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
+from .harness import ChaosHarness
+from .plan import BrokerCrash, FaultPlan, FaultStats
+from .reliable import ReliabilityStats, RetryConfig
 from .verifier import build_chaos_testbed
 
 __all__ = [
@@ -78,6 +76,19 @@ SESSION_SCENARIOS = ("crash", "flap", "slow-consumer", "poison")
 
 #: Terminal buckets of the per-(event, session) ledger.
 SessionOutcome = str  # "delivered" | "deadlettered" | "expired"
+
+#: Retained-log bound: the newest events kept for catch-up replay.
+RETENTION = RetentionPolicy(max_events=192)
+#: Publishes between two retention passes.
+RETENTION_INTERVAL = 25
+#: Catch-up replay token-bucket burst and per-pump batch size.
+REPLAY_BURST = 4.0
+REPLAY_BATCH = 4
+#: Timeout give-ups an obligation survives (each one demotes the
+#: session and replays it) before it is dead-lettered.
+MAX_REPLAY_REQUEUES = 3
+#: The poison victim rejects every this-many-th event charged to it.
+POISON_EVERY = 5
 
 
 @dataclass
@@ -180,7 +191,7 @@ class SessionReport:
         return rows
 
 
-class SessionChaosSimulation:
+class SessionChaosSimulation(ChaosHarness):
     """Scripted subscriber abuse against the durable-session stack.
 
     ``session_nodes`` are the stub nodes that hold durable sessions;
@@ -192,6 +203,8 @@ class SessionChaosSimulation:
     happened.
     """
 
+    OUTCOMES = ("delivered", "deadlettered", "expired")
+
     def __init__(
         self,
         broker: PubSubBroker,
@@ -199,21 +212,10 @@ class SessionChaosSimulation:
         scenario: str = "crash",
         session_nodes: Optional[Sequence[int]] = None,
         lease: float = 150.0,
-        journal=None,
-        retention: Optional[RetentionPolicy] = None,
-        retention_interval: int = 25,
         replay_rate: float = 2.0,
-        replay_burst: float = 4.0,
-        replay_batch: int = 4,
-        max_replay_requeues: int = 3,
         slow_queue_capacity: int = 4,
         slow_service_time: float = 10.0,
         slow_ttl: float = 15.0,
-        poison_every: int = 5,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
         if scenario not in SESSION_SCENARIOS:
@@ -221,58 +223,27 @@ class SessionChaosSimulation:
                 f"unknown session scenario {scenario!r}; "
                 f"expected one of {', '.join(SESSION_SCENARIOS)}"
             )
-        if max_replay_requeues < 1:
-            raise ValueError(
-                f"max_replay_requeues must be >= 1 "
-                f"(got {max_replay_requeues})"
-            )
-        if poison_every < 2:
-            raise ValueError(
-                f"poison_every must be >= 2 (got {poison_every})"
-            )
-        self.broker = broker
-        self.plan = plan
+        super().__init__(broker, plan, telemetry)
         self.scenario = scenario
-        self.simulator = DiscreteEventSimulator()
-        self.injector = FaultInjector(plan)
-        self.telemetry = or_null(telemetry)
-        self.telemetry.bind_clock(lambda: self.simulator.now)
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            injector=self.injector,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
-        )
         self.home = int(broker.topology.all_transit_nodes()[0])
         clock = lambda: self.simulator.now
         self.log = RetainedEventLog(
             clock=clock,
-            policy=retention or RetentionPolicy(max_events=192),
+            policy=RETENTION,
             telemetry=telemetry,
         )
         self.manager = SessionManager(
             self.log,
-            journal=journal,
             clock=clock,
             default_lease=lease,
             telemetry=telemetry,
         )
         self.dlq = DeadLetterQueue(clock=clock, telemetry=telemetry)
         self.breakers = BreakerBoard()
-        self.transport = ReliableTransport(
-            self.network,
-            config=retry
-            or RetryConfig.for_network(self.network, max_attempts=4),
-            seed=plan.seed + 1,
-            detector=self.injector,
-            on_deliver=self._on_deliver,
-            on_give_up=self._on_give_up,
+        self._start_transport(
+            config=RetryConfig.for_network(self.network, max_attempts=4),
             breakers=self.breakers,
             acceptor=self._accept,
-            telemetry=telemetry,
         )
         self.replayer = CatchupReplayer(
             self.manager,
@@ -280,8 +251,8 @@ class SessionChaosSimulation:
             self.home,
             self.simulator,
             rematch=self._rematch,
-            bucket=TokenBucket(replay_rate, replay_burst),
-            batch=replay_batch,
+            bucket=TokenBucket(replay_rate, REPLAY_BURST),
+            batch=REPLAY_BATCH,
             pump_interval=2.0,
             telemetry=telemetry,
         )
@@ -307,9 +278,6 @@ class SessionChaosSimulation:
             self._session_by_node[node] = session
         self.victim = self._session_by_node[int(session_nodes[0])]
         self.ghost = self._session_by_node[int(session_nodes[-1])]
-        self.max_replay_requeues = int(max_replay_requeues)
-        self.retention_interval = int(retention_interval)
-        self.poison_every = int(poison_every)
         self.slow_ttl = float(slow_ttl)
         self.slow_service_time = float(slow_service_time)
         self._victim_queue: Optional[BoundedQueue] = None
@@ -318,9 +286,7 @@ class SessionChaosSimulation:
             self._victim_queue = BoundedQueue(
                 slow_queue_capacity, policy="ttl-priority"
             )
-        # -- the ledger ------------------------------------------------------
-        #: (sequence, session_id) -> terminal bucket, exactly once.
-        self.outcomes: Dict[Tuple[int, str], SessionOutcome] = {}
+        # -- the ledger: outcomes maps (sequence, session_id) -> bucket ------
         self.matched_at: Dict[Tuple[int, str], float] = {}
         self.matched_seqs: Dict[str, Set[int]] = {
             s.session_id: set() for s in self._session_by_node.values()
@@ -339,19 +305,6 @@ class SessionChaosSimulation:
         self.demotions = 0
         self.shed_retained = 0
         self._published = 0
-
-    # -- accounting ----------------------------------------------------------
-
-    def _finish(
-        self, pair: Tuple[int, str], outcome: SessionOutcome
-    ) -> None:
-        """Assign one obligation its terminal bucket, exactly once."""
-        if pair in self.outcomes:
-            raise RuntimeError(
-                f"obligation {pair} already accounted as "
-                f"{self.outcomes[pair]!r}"
-            )
-        self.outcomes[pair] = outcome
 
     # -- matching helpers ----------------------------------------------------
 
@@ -402,12 +355,12 @@ class SessionChaosSimulation:
                 and session is self.victim
             ):
                 self._victim_charges += 1
-                if self._victim_charges % self.poison_every == 0:
+                if self._victim_charges % POISON_EVERY == 0:
                     self._poison.add(sequence)
         for session in live:
             self._dispatch(session, sequence)
         self._published += 1
-        if self._published % self.retention_interval == 0:
+        if self._published % RETENTION_INTERVAL == 0:
             self.log.enforce_retention(now, self.manager.low_water())
 
     def _dispatch(self, session: SubscriberSession, sequence: int) -> None:
@@ -548,7 +501,7 @@ class SessionChaosSimulation:
             # replay cycles is declared poison.
             cycles = self._timeout_giveups.get(pair, 0) + 1
             self._timeout_giveups[pair] = cycles
-            if cycles < self.max_replay_requeues:
+            if cycles < MAX_REPLAY_REQUEUES:
                 self._demote(session, key)
                 return
         self.dlq.quarantine(key, session.session_id, target, reason)
@@ -613,10 +566,7 @@ class SessionChaosSimulation:
                 for entry in self.dlq.entries()
             ],
         }
-        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(
-            canonical.encode("utf-8"), digest_size=16
-        ).hexdigest()
+        return canonical_digest(body)
 
     def run(
         self,
@@ -626,35 +576,18 @@ class SessionChaosSimulation:
         inter_arrival: float = 1.0,
     ) -> SessionReport:
         """Publish the workload under the scenario; verify the ledger."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
-        if arrival_times is None:
-            arrival_times = [
-                i * inter_arrival for i in range(len(points))
-            ]
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-        self._points = points
-        self._publishers = [int(p) for p in publishers]
-        horizon = float(arrival_times[-1]) if len(arrival_times) else 0.0
+        arrival_times, horizon = self._load_workload(
+            points, publishers, arrival_times, inter_arrival
+        )
         for time, action in self._scenario_schedule(horizon):
             self.simulator.schedule_at(float(time), action)
-        for sequence, time in enumerate(arrival_times):
-            self.simulator.schedule_at(
-                float(time),
-                lambda s=sequence: self._publish_event(s),
-            )
+        self._schedule_arrivals(arrival_times, self._publish_event)
         finished_at = self.simulator.run()
         # One final retention pass with the end-state low-water mark,
         # so the report's retained count reflects steady state.
         self.log.enforce_retention(finished_at, self.manager.low_water())
 
-        counts = {"delivered": 0, "deadlettered": 0, "expired": 0}
-        for outcome in self.outcomes.values():
-            counts[outcome] += 1
+        counts = self._outcome_counts()
         unsettled = sorted(
             pair for pair in self.matched_at if pair not in self.outcomes
         )
@@ -680,7 +613,7 @@ class SessionChaosSimulation:
         ]
         return SessionReport(
             scenario=self.scenario,
-            events=len(points),
+            events=len(arrival_times),
             matched=len(self.matched_at),
             delivered=counts["delivered"],
             deadlettered=counts["deadlettered"],

@@ -3,7 +3,7 @@
 :class:`ShardedChaosSimulation` replays a workload through the full
 scale-out stack: every publication resolves to its owning shard via
 the :class:`~repro.sharding.router.ShardRouter` (with a routing hop of
-``route_delay``, so a publication can be *in flight* when ownership
+``ROUTE_DELAY``, so a publication can be *in flight* when ownership
 changes under it), gets matched by the shard's scattered subscription
 slice, and rides the reliable transport from the shard's home node.
 
@@ -34,22 +34,20 @@ broker's, pinned by a BLAKE2b digest over the per-event results
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
-from ..core.distribution import DeliveryMethod, record_decision
+from ..core.distribution import DeliveryMethod
 from ..core.event import Event
+from ..io import canonical_digest
 from ..sharding.map import ShardMap
 from ..sharding.rebalance import MigrationPhase, MigrationTicket, Rebalancer
 from ..sharding.router import ShardRouter
 from ..telemetry.base import Telemetry
+from .harness import BalancedOutcomes
 from .plan import BrokerKill, FaultPlan
-from .reliable import RetryConfig
 from .verifier import ChaosReport, ChaosSimulation
 
 __all__ = [
@@ -60,6 +58,12 @@ __all__ = [
     "build_sharded_plan",
     "unsharded_match_digest",
 ]
+
+#: Routing hop from publisher to shard: a publication is in flight this
+#: long, so ownership can change under it.
+ROUTE_DELAY = 0.5
+#: Delay between a shard's death and the rebalance of its subsets.
+REBALANCE_DELAY = 30.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class PlannedMigration:
 
 
 @dataclass
-class ShardedStats:
+class ShardedStats(BalancedOutcomes):
     """Per-event outcome accounting plus scale-out bookkeeping."""
 
     published: int = 0
@@ -112,14 +116,6 @@ class ShardedStats:
     match_parity: bool = True
     #: BLAKE2b digest over per-event MatchResults (determinism pin).
     match_digest: str = ""
-
-    @property
-    def accounted(self) -> bool:
-        """The conservation law: every event in exactly one bucket."""
-        return (
-            self.delivered_events + self.shed_events + self.expired_events
-            == self.published
-        )
 
 
 @dataclass
@@ -168,11 +164,6 @@ class ShardedReport(ChaosReport):
         return rows
 
 
-def _digest_items(items: List[List[object]]) -> str:
-    body = json.dumps(items, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
-
-
 def unsharded_match_digest(
     broker,
     points: np.ndarray,
@@ -198,7 +189,7 @@ def unsharded_match_digest(
                 int(q),
             ]
         )
-    return _digest_items(items)
+    return canonical_digest(items)
 
 
 class ShardedChaosSimulation(ChaosSimulation):
@@ -209,8 +200,14 @@ class ShardedChaosSimulation(ChaosSimulation):
     kills its shard permanently.  ``migrations`` schedules live subset
     migrations (see :class:`PlannedMigration`); kills landing between
     a migration's begin and cutover exercise the journal's
-    roll-forward/roll-back semantics.
+    roll-forward/roll-back semantics.  Publications addressed to a
+    dead shard wait in the harness's defer queue.
     """
+
+    OUTCOME_METRIC = (
+        "sharding.outcomes",
+        "per-event outcomes under sharded chaos",
+    )
 
     def __init__(
         self,
@@ -219,33 +216,9 @@ class ShardedChaosSimulation(ChaosSimulation):
         num_shards: int = 4,
         shard_homes: Optional[Sequence[int]] = None,
         migrations: Sequence[PlannedMigration] = (),
-        route_delay: float = 0.5,
-        defer_capacity: int = 256,
-        defer_ttl: float = 250.0,
-        rebalance_delay: float = 30.0,
-        virtual_nodes: int = 64,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        if defer_capacity < 0:
-            raise ValueError(
-                f"defer_capacity must be >= 0 (got {defer_capacity})"
-            )
-        if defer_ttl <= 0.0:
-            raise ValueError(f"defer_ttl must be positive (got {defer_ttl})")
-        super().__init__(
-            broker,
-            plan,
-            reliable=True,
-            retry=retry,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            hop_retries=hop_retries,
-            telemetry=telemetry,
-        )
+        super().__init__(broker, plan, reliable=True, telemetry=telemetry)
         transit = sorted(int(n) for n in broker.topology.all_transit_nodes())
         if shard_homes is None:
             if num_shards > len(transit):
@@ -260,9 +233,7 @@ class ShardedChaosSimulation(ChaosSimulation):
             k: int(shard_homes[k]) for k in range(num_shards)
         }
         self.home_to_shard = {home: k for k, home in self.homes.items()}
-        self.map = ShardMap.plan(
-            broker.partition, num_shards, virtual_nodes=virtual_nodes
-        )
+        self.map = ShardMap.plan(broker.partition, num_shards)
         self.router = ShardRouter(
             broker, self.map, homes=self.homes, telemetry=telemetry
         )
@@ -272,19 +243,11 @@ class ShardedChaosSimulation(ChaosSimulation):
             telemetry=telemetry,
         )
         self.planned = tuple(migrations)
-        self.route_delay = float(route_delay)
-        self.defer_capacity = int(defer_capacity)
-        self.defer_ttl = float(defer_ttl)
-        self.rebalance_delay = float(rebalance_delay)
         self.sstats = ShardedStats()
         self.routed_per_shard: Dict[int, int] = {
             k: 0 for k in range(num_shards)
         }
-        self._outcomes: Dict[int, str] = {}
         self._dead: Set[int] = set()
-        self._deferred: List[
-            Tuple[float, int, np.ndarray, Sequence[int], Dict]
-        ] = []
         #: sequence -> (global ids, subscribers, q, shard) at service.
         self._records: Dict[
             int, Tuple[Tuple[int, ...], Tuple[int, ...], int, int]
@@ -303,31 +266,9 @@ class ShardedChaosSimulation(ChaosSimulation):
         if pending is not None:
             pending.discard(int(target))
 
-    def _finish(self, sequence: int, outcome: str) -> None:
-        if sequence in self._outcomes:
-            raise RuntimeError(
-                f"event {sequence} accounted twice: "
-                f"{self._outcomes[sequence]} then {outcome}"
-            )
-        self._outcomes[sequence] = outcome
-        if outcome == "delivered":
-            self.sstats.delivered_events += 1
-        elif outcome == "shed":
-            self.sstats.shed_events += 1
-        elif outcome == "expired":
-            self.sstats.expired_events += 1
-        else:
-            raise ValueError(f"unknown outcome {outcome!r}")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "sharding.outcomes",
-                help="per-event outcomes under sharded chaos",
-                outcome=outcome,
-            ).inc()
-
     # -- hook overrides ------------------------------------------------------
 
-    def _arm(self, arrival_times: Sequence[float]) -> None:
+    def _arm(self, last_arrival: float) -> None:
         for kill in self.plan.broker_kills:
             shard = self.home_to_shard.get(int(kill.node))
             if shard is not None:
@@ -340,42 +281,28 @@ class ShardedChaosSimulation(ChaosSimulation):
                 lambda p=planned: self._begin_planned(p),
             )
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        # The router resolves immediately and stamps the current map
-        # epoch; the publication then spends route_delay in flight, so
-        # a cutover can depose the addressed shard before arrival.
-        q, shard = self.router.resolve(points[sequence])
-        epoch = self.map.epoch
+    def _publish_event(self, sequence: int) -> None:
+        # The router resolves immediately; the publication then spends
+        # ROUTE_DELAY in flight, so a cutover can depose the addressed
+        # shard before arrival.
+        q, shard = self.router.resolve(self._points[sequence])
         self.simulator.schedule_at(
-            self.simulator.now + self.route_delay,
-            lambda: self._arrive(
-                sequence, q, shard, epoch, points, publishers, counters
-            ),
+            self.simulator.now + ROUTE_DELAY,
+            lambda: self._arrive(sequence, q, shard),
         )
 
     # -- arrival, fencing, service -------------------------------------------
 
-    def _arrive(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        epoch: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        current_q, current = self.router.resolve(points[sequence])
+    def _unavailable(self, shard: int) -> bool:
+        """Whether the owning shard cannot serve right now."""
+        return shard in self._dead
+
+    def _arrive(self, sequence: int, q: int, shard: int) -> None:
+        current_q, current = self.router.resolve(self._points[sequence])
         if current != shard:
             # Stale routing: ownership moved while the publication was
-            # in flight.  A live old owner fences it (the stamped epoch
-            # is below the map's); either way it re-routes.
+            # in flight.  A live old owner fences it (its epoch is
+            # below the map's); either way it re-routes.
             if shard not in self._dead:
                 self.sstats.fenced_publishes += 1
                 if self.telemetry.enabled:
@@ -384,40 +311,25 @@ class ShardedChaosSimulation(ChaosSimulation):
                         help="stale-epoch publishes bounced by old owners",
                     ).inc()
             self.sstats.rerouted += 1
-            self._arrive(
-                sequence,
-                current_q,
-                current,
-                self.map.epoch,
-                points,
-                publishers,
-                counters,
-            )
+            self._arrive(sequence, current_q, current)
             return
-        if shard in self._dead:
-            if len(self._deferred) >= self.defer_capacity:
-                self._finish(sequence, "shed")
-                return
-            self._deferred.append(
-                (self.simulator.now, sequence, points, publishers, counters)
-            )
-            self.sstats.deferred_events += 1
+        if self._unavailable(shard):
+            self._defer(sequence)
             return
         self._finish(sequence, "delivered")
-        self._serve(sequence, q, shard, points, publishers, counters)
+        self._serve(sequence, q, shard)
 
-    def _serve(
-        self,
-        sequence: int,
-        q: int,
-        shard: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
-        event = Event.create(
-            sequence, int(publishers[sequence]), points[sequence]
-        )
+    def _serve_deferred(self, sequence: int) -> bool:
+        q, shard = self.router.resolve(self._points[sequence])
+        if self._unavailable(shard):
+            return False
+        self._finish(sequence, "delivered")
+        self._serve(sequence, q, shard)
+        return True
+
+    def _serve(self, sequence: int, q: int, shard: int) -> None:
+        point = self._points[sequence]
+        event = Event.create(sequence, self._publishers[sequence], point)
         match = self.router.shards[shard].match(event)
         self._records[sequence] = (
             match.subscription_ids,
@@ -425,56 +337,27 @@ class ShardedChaosSimulation(ChaosSimulation):
             q,
             shard,
         )
-        cell = (
-            self.router.catchall_cell(points[sequence]) if q == 0 else None
-        )
+        cell = self.router.catchall_cell(point) if q == 0 else None
         self._routing[sequence] = (q, cell)
         self.routed_per_shard[shard] += 1
-        group_size = self.broker.partition.group(q).size if q > 0 else 0
-        decision = self.broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(self.telemetry, decision)
+        decision = self._decide(match, q)
         if decision.method is DeliveryMethod.NOT_SENT:
-            counters["not_sent"] += 1
+            self._counters["not_sent"] += 1
             return
-        now = self.simulator.now
-        home = self.homes[shard]
-        recipients = [
-            node for node in match.subscribers if node != event.publisher
-        ]
-        self.ledger.expect(sequence, recipients, now)
-        self._record_intent(
-            sequence, event.publisher, recipients, decision.method.value, q
+        recipients = self._expect(
+            sequence, event.publisher, match, decision, q
         )
         if not recipients:
             return
         self._sender_shard[sequence] = shard
         self._pending_of[sequence] = set(recipients)
-        interested = set(recipients)
-        if decision.method is DeliveryMethod.UNICAST:
-            counters["unicast"] += 1
-            self.transport.publish(sequence, home, recipients)
-            return
-        counters["multicast"] += 1
-        members = self.broker.partition.group(q).members
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-
-        def first_pass(receive, m=members, v=via, h=home):
-            self.network.send_multicast(
-                h,
-                m,
-                lambda node, time: (
-                    receive(node, time) if node in interested else None
-                ),
-                via=v,
-            )
-
-        self.transport.publish(sequence, home, recipients, first_pass)
+        group = None
+        if decision.method is not DeliveryMethod.UNICAST:
+            group = self.broker.partition.group(q).members
+        self._counters["unicast" if group is None else "multicast"] += 1
+        self._route(
+            sequence, self.homes[shard], recipients, group, set(recipients)
+        )
 
     # -- kills, rebalance, re-hand -------------------------------------------
 
@@ -515,7 +398,7 @@ class ShardedChaosSimulation(ChaosSimulation):
                 )
         for dead in newly:
             self.simulator.schedule_at(
-                self.simulator.now + self.rebalance_delay,
+                self.simulator.now + REBALANCE_DELAY,
                 lambda s=dead: self._rebalance_away(s),
             )
 
@@ -532,21 +415,12 @@ class ShardedChaosSimulation(ChaosSimulation):
         ]
         if not live:
             return []
-        graph = self.broker.topology.graph.copy()
-        graph.remove_nodes_from(
-            self.homes[s] for s in self._dead if self.homes[s] in graph
+        majority = self._majority(
+            self._components(self.homes[s] for s in self._dead),
+            [self.homes[s] for s in live],
         )
-        components = list(nx.connected_components(graph))
-        if not components:
+        if not majority:
             return []
-        majority = max(
-            components,
-            key=lambda c: (
-                sum(1 for s in live if self.homes[s] in c),
-                len(c),
-                -min(c),
-            ),
-        )
         stranded = [s for s in live if self.homes[s] not in majority]
         for s in stranded:
             self._dead.add(s)
@@ -608,21 +482,6 @@ class ShardedChaosSimulation(ChaosSimulation):
                 ).inc(len(pending))
         self._orphans = remaining
 
-    def _flush_deferred(self) -> None:
-        now = self.simulator.now
-        keep: List[Tuple[float, int, np.ndarray, Sequence[int], Dict]] = []
-        for at, sequence, points, publishers, counters in self._deferred:
-            if now - at > self.defer_ttl:
-                self._finish(sequence, "expired")
-                continue
-            q, shard = self.router.resolve(points[sequence])
-            if shard in self._dead:
-                keep.append((at, sequence, points, publishers, counters))
-                continue
-            self._finish(sequence, "delivered")
-            self._serve(sequence, q, shard, points, publishers, counters)
-        self._deferred = keep
-
     # -- planned migrations ---------------------------------------------------
 
     def _begin_planned(self, planned: PlannedMigration) -> None:
@@ -667,10 +526,9 @@ class ShardedChaosSimulation(ChaosSimulation):
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ShardedReport:
         base = super().run(points, publishers, inter_arrival, arrival_times)
-        leftover, self._deferred = self._deferred, []
-        for _at, sequence, *_rest in leftover:
-            self._finish(sequence, "expired")
-        self.sstats.published = len(points)
+        self._expire_deferred()
+        self.sstats.tally(base.events, self._outcome_counts())
+        self.sstats.deferred_events = self.deferred_count
         self.sstats.migrations_completed = self.rebalancer.completed
         self.sstats.migrations_aborted = self.rebalancer.aborted
         self.sstats.imbalance = self.map.imbalance()
@@ -680,14 +538,14 @@ class ShardedChaosSimulation(ChaosSimulation):
         # miss to a still-reachable target is a protocol bug.
         reachable: Set[int] = set()
         if base.missing:
-            graph = self.broker.topology.graph.copy()
-            graph.remove_nodes_from(
-                self.homes[s] for s in self._dead if self.homes[s] in graph
+            reachable = self._reachable(
+                self._components(self._severed()),
+                (
+                    self.homes[s]
+                    for s in range(self.map.num_shards)
+                    if s not in self._dead
+                ),
             )
-            for shard in range(self.map.num_shards):
-                home = self.homes[shard]
-                if shard not in self._dead and home in graph:
-                    reachable |= nx.node_connected_component(graph, home)
         for _sequence, target, _reason in base.missing:
             if int(target) in reachable:
                 self.sstats.unexplained_misses += 1
@@ -700,7 +558,7 @@ class ShardedChaosSimulation(ChaosSimulation):
             ).set(self.sstats.imbalance)
         # Determinism pin: each serviced event's shard-local match must
         # equal the unsharded broker's, digest-for-digest.
-        points = np.asarray(points, dtype=np.float64)
+        points = self._points
         items: List[List[object]] = []
         parity = True
         for sequence in sorted(self._records):
@@ -720,7 +578,7 @@ class ShardedChaosSimulation(ChaosSimulation):
                 ]
             )
         self.sstats.match_parity = parity
-        self.sstats.match_digest = _digest_items(items)
+        self.sstats.match_digest = canonical_digest(items)
         return ShardedReport(
             **vars(base),
             sharded=self.sstats,
@@ -728,6 +586,10 @@ class ShardedChaosSimulation(ChaosSimulation):
             final_epoch=self.map.epoch,
             routed_per_shard=dict(self.routed_per_shard),
         )
+
+    def _severed(self) -> List[int]:
+        """Nodes whose death cuts targets off: the dead shards' homes."""
+        return [self.homes[s] for s in self._dead]
 
     @property
     def serviced_sequences(self) -> List[int]:

@@ -6,7 +6,7 @@ active, using the broker's real per-event decisions (unicast fan-out
 vs multicast tree) and — unless disabled — the reliable ack/retry
 protocol of :mod:`repro.faults.reliable`.
 
-A :class:`DeliveryLedger` records the ground truth on both sides:
+A :class:`~repro.faults.harness.DeliveryLedger` records the ground truth on both sides:
 what *should* arrive (every matched subscriber of every sent event)
 and what the application layer actually received.  The resulting
 :class:`ChaosReport` then states the guarantee precisely:
@@ -25,29 +25,28 @@ the protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..clustering import ForgyKMeansClustering
 from ..core.broker import PubSubBroker
-from ..core.distribution import DeliveryMethod, record_decision
+from ..core.distribution import DeliveryMethod
 from ..core.event import Event
 from ..core.subscription import SubscriptionTable
 from ..network.topology import TransitStubGenerator, TransitStubParams
 from ..simulation.delivery import LatencyStats
-from ..simulation.engine import DiscreteEventSimulator
-from ..simulation.packet_network import PacketNetwork
-from ..telemetry.base import Telemetry, or_null
+from ..telemetry.base import Telemetry
 from ..workload import (
     PublicationGenerator,
     StockSubscriptionGenerator,
     publication_distribution,
 )
-from .plan import BrokerCrash, FaultInjector, FaultPlan, FaultStats, LinkFault
-from .reliable import ReliabilityStats, ReliableTransport, RetryConfig
+from .harness import ChaosHarness, DeliveryLedger
+from .plan import BrokerCrash, FaultPlan, FaultStats, LinkFault
+from .reliable import ReliabilityStats
 
 __all__ = [
     "DeliveryLedger",
@@ -59,64 +58,6 @@ __all__ = [
     "build_slow_subscriber_plan",
     "build_resubscribe_storm",
 ]
-
-
-class DeliveryLedger:
-    """Ground-truth bookkeeping: expected vs observed app deliveries."""
-
-    def __init__(self) -> None:
-        self._expected: Dict[int, Set[int]] = {}
-        self._counts: Dict[Tuple[int, int], int] = {}
-        self._latencies: List[float] = []
-        self._published_at: Dict[int, float] = {}
-        self.fail_reasons: Dict[Tuple[int, int], str] = {}
-
-    def expect(
-        self, sequence: int, subscribers: Sequence[int], published_at: float
-    ) -> None:
-        self._expected[sequence] = {int(s) for s in subscribers}
-        self._published_at[sequence] = published_at
-
-    def record(self, sequence: int, subscriber: int, time: float) -> None:
-        """One application-level delivery (post-dedup if reliable)."""
-        key = (sequence, int(subscriber))
-        count = self._counts.get(key, 0) + 1
-        self._counts[key] = count
-        if count == 1:
-            self._latencies.append(time - self._published_at[sequence])
-
-    @property
-    def expected_total(self) -> int:
-        return sum(len(s) for s in self._expected.values())
-
-    @property
-    def delivered_distinct(self) -> int:
-        return sum(
-            1
-            for (sequence, subscriber), count in self._counts.items()
-            if count >= 1 and subscriber in self._expected.get(sequence, ())
-        )
-
-    @property
-    def duplicate_deliveries(self) -> int:
-        """Application-level deliveries beyond the first per pair."""
-        return sum(count - 1 for count in self._counts.values() if count > 1)
-
-    @property
-    def latencies(self) -> List[float]:
-        return self._latencies
-
-    def missing(self, default_reason: str) -> List[Tuple[int, int, str]]:
-        """Every expected (event, subscriber) that never arrived, with why."""
-        out: List[Tuple[int, int, str]] = []
-        for sequence in sorted(self._expected):
-            for subscriber in sorted(self._expected[sequence]):
-                if self._counts.get((sequence, subscriber), 0) == 0:
-                    reason = self.fail_reasons.get(
-                        (sequence, subscriber), default_reason
-                    )
-                    out.append((sequence, subscriber, reason))
-        return out
 
 
 @dataclass
@@ -191,7 +132,7 @@ class ChaosReport:
         return rows
 
 
-class ChaosSimulation:
+class ChaosSimulation(ChaosHarness):
     """Packet-level workload replay under an active fault plan."""
 
     def __init__(
@@ -199,56 +140,16 @@ class ChaosSimulation:
         broker: PubSubBroker,
         plan: FaultPlan,
         reliable: bool = True,
-        retry: Optional[RetryConfig] = None,
-        transmission_time: float = 0.25,
-        propagation_scale: float = 1.0,
-        hop_retries: int = 4,
         telemetry: Optional[Telemetry] = None,
     ):
-        self.broker = broker
-        self.plan = plan
-        self.reliable = reliable
-        self.simulator = DiscreteEventSimulator()
-        self.injector = FaultInjector(plan)
-        # Telemetry runs on simulated time: span timestamps come from
-        # the engine clock, so instrumented chaos runs stay
-        # deterministic (and NullTelemetry keeps this a no-op).
-        self.telemetry = or_null(telemetry)
-        self.telemetry.bind_clock(lambda: self.simulator.now)
-        # Reliable mode layers link-level ARQ (masks random loss)
-        # under the end-to-end ack/retry protocol (recovers from
-        # outages and crashes); fire-and-forget mode gets neither.
-        self.network = PacketNetwork(
-            broker.topology,
-            self.simulator,
-            transmission_time=transmission_time,
-            propagation_scale=propagation_scale,
-            injector=self.injector,
-            hop_retries=hop_retries if reliable else 0,
-            telemetry=telemetry,
-        )
-        self.ledger = DeliveryLedger()
-        self.transport: Optional[ReliableTransport] = None
+        super().__init__(broker, plan, telemetry, reliable)
+        self._counters = {"multicast": 0, "unicast": 0, "not_sent": 0}
         if reliable:
-            self.transport = ReliableTransport(
-                self.network,
-                config=retry or RetryConfig.for_network(self.network),
-                seed=plan.seed + 1,
-                detector=self.injector,
-                on_deliver=lambda target, key, time: self.ledger.record(
-                    key, target, time
-                ),
-                on_give_up=lambda target, key, reason: (
-                    self.ledger.fail_reasons.__setitem__(
-                        (key, target), reason
-                    )
-                ),
-                telemetry=telemetry,
-            )
+            self._start_transport()
 
     # -- subclass hooks ------------------------------------------------------
 
-    def _arm(self, arrival_times: Sequence[float]) -> None:
+    def _arm(self, last_arrival: float) -> None:
         """Schedule harness-side callbacks before the workload.
 
         Called once per :meth:`run`, before any publish is scheduled —
@@ -271,13 +172,18 @@ class ChaosSimulation:
         harness does nothing.
         """
 
-    def _publish_event(
-        self,
-        sequence: int,
-        points: np.ndarray,
-        publishers: Sequence[int],
-        counters: Dict[str, int],
-    ) -> None:
+    def _expect(
+        self, sequence: int, publisher: int, match, decision, q: int
+    ) -> List[int]:
+        """Who must receive a sent event: ledger expectation + intent."""
+        recipients = [node for node in match.subscribers if node != publisher]
+        self.ledger.expect(sequence, recipients, self.simulator.now)
+        self._record_intent(
+            sequence, publisher, recipients, decision.method.value, q
+        )
+        return recipients
+
+    def _publish_event(self, sequence: int) -> None:
         """Match, decide and route one event (the per-event hot path).
 
         The span tree mirrors the lifecycle: `event` (root) →
@@ -290,7 +196,7 @@ class ChaosSimulation:
         telemetry = self.telemetry
         instrumented = telemetry.enabled
         event = Event.create(
-            sequence, int(publishers[sequence]), points[sequence]
+            sequence, self._publishers[sequence], self._points[sequence]
         )
         if instrumented:
             telemetry.counter("broker.events").inc()
@@ -309,44 +215,26 @@ class ChaosSimulation:
             match_span.set_attribute(
                 "subscribers", match.num_subscribers
             ).finish()
-        group_size = (
-            self.broker.partition.group(q).size if q > 0 else 0
-        )
-        if instrumented:
             decision_span = telemetry.start_span(
                 "distribution-decision", parent=root
             )
-        decision = self.broker.policy.decide(
-            interested=match.num_subscribers,
-            group_size=group_size,
-            group=q,
-        )
-        record_decision(telemetry, decision)
+        decision = self._decide(match, q)
         if instrumented:
             decision_span.set_attribute(
                 "method", decision.method.value
             ).set_attribute("group", q).finish()
         if decision.method is DeliveryMethod.NOT_SENT:
-            counters["not_sent"] += 1
+            self._counters["not_sent"] += 1
             if instrumented:
                 root.set_attribute("method", "not_sent").finish()
             return
-        now = self.simulator.now
-        recipients = [
-            node
-            for node in match.subscribers
-            if node != event.publisher
-        ]
-        self.ledger.expect(sequence, recipients, now)
-        self._record_intent(
-            sequence, event.publisher, recipients,
-            decision.method.value, q,
+        recipients = self._expect(
+            sequence, event.publisher, match, decision, q
         )
         if not recipients:
             if instrumented:
                 root.set_attribute("method", "self_only").finish()
             return
-        interested = set(recipients)
         route_span = None
         if instrumented:
             route_span = telemetry.start_span(
@@ -355,74 +243,26 @@ class ChaosSimulation:
                 method=decision.method.value,
                 targets=len(recipients),
             )
-
-        if decision.method is DeliveryMethod.UNICAST:
-            counters["unicast"] += 1
-            if self.transport is not None:
-                self.transport.publish(
-                    sequence,
-                    event.publisher,
-                    recipients,
-                    parent_span=route_span,
-                )
-            else:
-                for node in recipients:
-                    self.network.send_unicast(
-                        event.publisher,
-                        node,
-                        lambda n, t, s=sequence: self.ledger.record(
-                            s, n, t
-                        ),
-                    )
-            if instrumented:
-                route_span.finish()
-                root.set_attribute("method", "unicast").finish()
-            return
-
-        counters["multicast"] += 1
-        members = self.broker.partition.group(q).members
-        via = None
-        if self.broker.costs.multicast_mode == "sparse":
-            via = self.broker.costs.rendezvous_point(members)
-        if self.transport is not None:
-            def first_pass(receive, m=members, v=via):
-                # Group members outside the interested set filter
-                # the message out at the application layer; only
-                # interested arrivals enter the reliable protocol.
-                self.network.send_multicast(
-                    event.publisher,
-                    m,
-                    lambda node, time: (
-                        receive(node, time)
-                        if node in interested
-                        else None
-                    ),
-                    via=v,
-                )
-
-            self.transport.publish(
-                sequence,
-                event.publisher,
-                recipients,
-                first_pass,
-                parent_span=route_span,
-            )
-        else:
-            self.network.send_multicast(
-                event.publisher,
-                members,
-                lambda node, time, s=sequence: (
-                    self.ledger.record(s, node, time)
-                    if node in interested
-                    else None
-                ),
-                via=via,
-            )
+        group = None
+        if decision.method is not DeliveryMethod.UNICAST:
+            group = self.broker.partition.group(q).members
+        method = "unicast" if group is None else "multicast"
+        self._counters[method] += 1
+        self._route(
+            sequence,
+            event.publisher,
+            recipients,
+            group,
+            set(recipients),
+            route_span,
+        )
         if instrumented:
-            route_span.set_attribute(
-                "group", q
-            ).set_attribute("group_size", len(members)).finish()
-            root.set_attribute("method", "multicast").finish()
+            if group is not None:
+                route_span.set_attribute("group", q).set_attribute(
+                    "group_size", len(group)
+                )
+            route_span.finish()
+            root.set_attribute("method", method).finish()
 
     def run(
         self,
@@ -432,46 +272,26 @@ class ChaosSimulation:
         arrival_times: Optional[Sequence[float]] = None,
     ) -> ChaosReport:
         """Publish the workload under faults and verify the guarantee."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] != len(publishers):
-            raise ValueError(
-                "points must be (m, N) with one publisher per row"
-            )
-        if arrival_times is None:
-            arrival_times = [i * inter_arrival for i in range(len(points))]
-        if len(arrival_times) != len(points):
-            raise ValueError("one arrival time per event required")
-
-        counters = {"multicast": 0, "unicast": 0, "not_sent": 0}
-        self._arm(arrival_times)
-        for sequence, time in enumerate(arrival_times):
-            self.simulator.schedule_at(
-                float(time),
-                lambda s=sequence: self._publish_event(
-                    s, points, publishers, counters
-                ),
-            )
-        finished_at = self.simulator.run()
-
-        default_reason = (
-            "unacknowledged at simulation end"
-            if self.reliable
-            else "lost (no retransmission)"
+        arrival_times, last_arrival = self._load_workload(
+            points, publishers, arrival_times, inter_arrival
         )
+        self._arm(last_arrival)
+        self._schedule_arrivals(arrival_times, self._publish_event)
+        finished_at = self.simulator.run()
         return ChaosReport(
-            events=len(points),
+            events=len(arrival_times),
             reliable=self.reliable,
             expected=self.ledger.expected_total,
             delivered=self.ledger.delivered_distinct,
             duplicate_deliveries=self.ledger.duplicate_deliveries,
-            missing=self.ledger.missing(default_reason),
+            missing=self._missing(),
             latency=LatencyStats.from_samples(self.ledger.latencies),
             transmissions=self.network.log.transmissions,
             link_retransmissions=self.network.log.retransmissions,
             queueing_delay=self.network.log.queueing_delay,
-            multicasts=counters["multicast"],
-            unicasts=counters["unicast"],
-            not_sent=counters["not_sent"],
+            multicasts=self._counters["multicast"],
+            unicasts=self._counters["unicast"],
+            not_sent=self._counters["not_sent"],
             finished_at=finished_at,
             fault_stats=self.injector.stats,
             reliability=(

@@ -11,6 +11,7 @@ the string sentinels ``"-inf"`` / ``"inf"``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .geometry.rectangle import Rectangle
 from .network.topology import Topology
 
 __all__ = [
+    "canonical_digest",
     "fsync_dir",
     "atomic_write_text",
     "atomic_write_bytes",
@@ -35,6 +37,18 @@ __all__ = [
     "save_testbed",
     "load_testbed",
 ]
+
+
+def canonical_digest(obj: object) -> str:
+    """BLAKE2b-128 hex digest of ``obj`` as canonical JSON.
+
+    Canonical means sorted keys and no whitespace, so equal structures
+    hash equally whatever their dict order: the determinism witnesses
+    (snapshot, recovery, takeover, match and session digests) compare
+    these strings across runs.
+    """
+    body = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(body.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def fsync_dir(path: Union[str, Path]) -> None:

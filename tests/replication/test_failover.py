@@ -131,19 +131,6 @@ class TestHarnessContracts:
         with pytest.raises(ValueError, match="primary"):
             FailoverChaosSimulation(broker, FaultPlan(), standbys)
 
-    def test_double_accounting_is_loud(self):
-        broker, _ = build_chaos_testbed(seed=7, subscriptions=50,
-                                        dynamic=True)
-        plan, primary, standbys = build_failover_plan(
-            broker.topology, seed=7
-        )
-        simulation = FailoverChaosSimulation(
-            broker, plan, standbys, primary=primary
-        )
-        simulation._finish(0, "delivered")
-        with pytest.raises(RuntimeError, match="accounted twice"):
-            simulation._finish(0, "shed")
-
     def test_plan_builder_validates_scenario(self):
         broker, _ = build_chaos_testbed(seed=7, subscriptions=50)
         with pytest.raises(ValueError, match="scenario"):

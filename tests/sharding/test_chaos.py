@@ -158,19 +158,6 @@ class TestMigrationCrashScenario:
 
 
 class TestHarnessGuards:
-    def test_double_accounting_raises(self):
-        broker, points, publishers = _build()
-        shard_map = ShardMap.plan(broker.partition, SHARDS)
-        plan, homes, _ = build_sharded_plan(
-            broker.topology, shard_map, scenario="clean", horizon=100.0
-        )
-        simulation = ShardedChaosSimulation(
-            broker, plan, num_shards=SHARDS, shard_homes=homes
-        )
-        simulation._finish(0, "delivered")
-        with pytest.raises(RuntimeError, match="accounted twice"):
-            simulation._finish(0, "shed")
-
     def test_too_many_shards_for_topology_raises(self):
         broker, _, _ = _build()
         plan, _, _ = build_sharded_plan(
