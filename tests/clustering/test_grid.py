@@ -1,10 +1,16 @@
 """Unit tests for the event grid."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
 from repro.clustering import EventGrid, UniformCellProbability
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.testbed import build_testbed
 from repro.geometry import Interval, Rectangle
+from repro.io import canonical_digest
 from repro.workload import nine_mode_distribution
 
 
@@ -231,3 +237,62 @@ class TestFastPathConsistency:
             assert cell.probability == pytest.approx(
                 density.cell_probability(cell.lows, cell.highs), abs=1e-12
             )
+
+
+def _grid_digest(grid):
+    """Digest of every cell in dict order: index, mask, p(g), bounds."""
+    return canonical_digest(
+        [
+            [list(c.index), c.members, c.probability, list(c.lows), list(c.highs)]
+            for c in grid.cells.values()
+        ]
+    )
+
+
+def _golden_3d_rectangles():
+    """Seeded 3-D rectangles with boundary-aligned, unbounded and empty sides."""
+    rng = random.Random(13)
+    coords = [-1.0, 0.0, 0.5, 1.0, 1.3, 2.0, 2.5, 3.0, 3.7, 4.0, 5.0]
+    rectangles, subscribers = [], []
+    for row in range(24):
+        lows, highs = [], []
+        for _ in range(3):
+            lo, hi = sorted(rng.sample(coords, 2))
+            if rng.random() < 0.15:
+                lo = -math.inf
+            if rng.random() < 0.15:
+                hi = math.inf
+            lows.append(lo)
+            highs.append(hi)
+        if row % 17 == 0:
+            lows[1], highs[1] = highs[1], lows[1]  # empty side
+        rectangles.append(Rectangle(tuple(lows), tuple(highs)))
+        subscribers.append(rng.randrange(25))
+    return rectangles, subscribers
+
+
+class TestPinnedDigest:
+    """The grid, cell for cell and in dict order, is pinned bit for bit."""
+
+    def test_paper_testbed_grid(self):
+        config = ExperimentConfig()
+        testbed = build_testbed(config)
+        grid = EventGrid(
+            testbed.table.rectangles(),
+            [s.subscriber for s in testbed.table],
+            density=testbed.density(9),
+            cells_per_dim=config.cells_per_dim,
+        )
+        assert len(grid.cells) == 9169
+        assert _grid_digest(grid) == "86f872cee9e99c0cf56c55da5f2eff54"
+
+    def test_3d_grid_with_explicit_frame(self):
+        rectangles, subscribers = _golden_3d_rectangles()
+        grid = EventGrid(
+            rectangles,
+            subscribers,
+            cells_per_dim=4,
+            frame=((0.0, 0.0, 0.0), (4.0, 4.0, 4.0)),
+        )
+        assert len(grid.cells) == 64
+        assert _grid_digest(grid) == "b4bfa8a6e03f3490112c20dea3d8843a"
