@@ -18,6 +18,18 @@ For every cell the grid records:
   event distribution ``p_p(.)``;
 - the cell's *weight* ``p(g) * n(g)`` with ``n(g) = |l(g)|``, used to
   pick the ``T`` highest-weight cells the algorithms work on.
+
+The build is array-based.  A rectangle overlaps a box of cells, the
+product of its per-dimension ranges from
+:func:`repro.geometry.gridmath.overlapped_cell_range` (computed for all
+rectangles at once), so its membership is one slice ``|=`` into a dense
+uint64 array of shape ``(C,)*N + (ceil(S/64),)`` for ``S`` distinct
+subscribers.  That array takes ``C^N * ceil(S/64)`` words: about
+0.7 MB at ``C=10``, ``N=4``, ``S=541``.  ``C^N`` is also the number of
+cells one full-frame (for instance, fully unbounded) rectangle covers.
+Cells enter :attr:`EventGrid.cells` in the order a per-rectangle,
+per-cell enumeration creates them: by the first rectangle touching
+them, then in C order of the index.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.gridmath import covered_cell_range, locate_cell
+from ..geometry.gridmath import locate_cell, overlapped_cell_range
 from ..geometry.rectangle import Rectangle
 
 __all__ = ["CellProbability", "UniformCellProbability", "GridCell", "EventGrid"]
@@ -144,6 +156,12 @@ class EventGrid:
             raise ValueError("cells_per_dim must be positive")
         self.cells_per_dim = cells_per_dim
         self.ndim = rectangles[0].ndim
+        for position, rectangle in enumerate(rectangles):
+            if rectangle.ndim != self.ndim:
+                raise ValueError(
+                    f"rectangle {position} has {rectangle.ndim} dimensions, "
+                    f"grid has {self.ndim}"
+                )
 
         # Compact subscriber indexing (bit positions).
         unique_ids = sorted(set(int(s) for s in subscriber_ids))
@@ -166,6 +184,15 @@ class EventGrid:
         else:
             self.frame_lo, self.frame_hi = _fit_frame(lows, highs)
         self._width = (self.frame_hi - self.frame_lo) / cells_per_dim
+        # Per-dimension cell bounds: cell i of dimension d spans
+        # (_cell_lows[d][i], _cell_highs[d][i]].
+        cell_lo = self.frame_lo + np.arange(cells_per_dim)[:, None] * (
+            self._width
+        )
+        self._cell_lows: List[List[float]] = cell_lo.T.tolist()
+        self._cell_highs: List[List[float]] = (
+            (cell_lo + self._width).T.tolist()
+        )
 
         if density is None:
             density = UniformCellProbability(self.frame_lo, self.frame_hi)
@@ -182,35 +209,52 @@ class EventGrid:
         highs: np.ndarray,
         subscriber_ids: Sequence[int],
     ) -> None:
+        """Fill ``l(g)`` with one slice ``|=`` per rectangle (see the
+        module docstring), then ``p(g)``."""
         c = self.cells_per_dim
-        for row in range(lows.shape[0]):
-            lo = np.maximum(
-                np.where(np.isfinite(lows[row]), lows[row], self.frame_lo),
-                self.frame_lo,
+        shape = (c,) * self.ndim
+        lo, hi = self._clip_to_frame(lows, highs)
+        start, stop = overlapped_cell_range(
+            lo, hi, self.frame_lo, self._width, c
+        )
+        empty = np.any(highs <= lows, axis=1) | np.any(stop <= start, axis=1)
+        words = -(-len(self.subscribers) // 64)
+        cover = np.zeros(shape + (words,), dtype=np.uint64)
+        no_row = lows.shape[0]
+        first_row = np.full(shape, no_row, dtype=np.int64)
+        # Walk backwards so the last write to first_row is the first row.
+        for row in np.flatnonzero(~empty)[::-1].tolist():
+            box = tuple(map(slice, start[row].tolist(), stop[row].tolist()))
+            bit = self._bit_of[int(subscriber_ids[row])]
+            cover[box + (bit >> 6,)] |= np.uint64(1 << (bit & 63))
+            first_row[box] = row
+
+        flat_first = first_row.ravel()
+        occupied = np.flatnonzero(flat_first < no_row)
+        occupied = occupied[np.argsort(flat_first[occupied], kind="stable")]
+        masks = cover.reshape(-1, words)[occupied].astype("<u8").tobytes()
+        step = 8 * words
+        coords = np.unravel_index(occupied, shape)
+        for k, index in enumerate(zip(*(a.tolist() for a in coords))):
+            cell = self._make_cell(index)
+            cell.members = int.from_bytes(
+                masks[k * step : (k + 1) * step], "little"
             )
-            hi = np.minimum(
-                np.where(np.isfinite(highs[row]), highs[row], self.frame_hi),
-                self.frame_hi,
-            )
-            if np.any(highs[row] <= lows[row]):
-                continue  # empty subscription matches nothing
-            if np.any(hi <= lo):
-                continue  # entirely outside the frame
-            first, last = covered_cell_range(
-                lo, hi, self.frame_lo, self._width, c
-            )
-            bit = 1 << self._bit_of[int(subscriber_ids[row])]
-            ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
-            for index in product(*ranges):
-                if not self._cell_intersects(index, lo, hi):
-                    continue  # boundary-adjacent candidate, empty overlap
-                cell = self.cells.get(index)
-                if cell is None:
-                    cell = self._make_cell(index)
-                    self.cells[index] = cell
-                cell.members |= bit
+            self.cells[index] = cell
 
         self._assign_probabilities()
+
+    def _clip_to_frame(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Rectangle bounds with unbounded sides and overhangs cut off."""
+        lo = np.maximum(
+            np.where(np.isfinite(lows), lows, self.frame_lo), self.frame_lo
+        )
+        hi = np.minimum(
+            np.where(np.isfinite(highs), highs, self.frame_hi), self.frame_hi
+        )
+        return lo, hi
 
     def _assign_probabilities(self) -> None:
         """Fill ``p(g)`` for every occupied cell.
@@ -240,29 +284,11 @@ class EventGrid:
                     cell.lows, cell.highs
                 )
 
-    def _cell_intersects(
-        self, index: Tuple[int, ...], lo: np.ndarray, hi: np.ndarray
-    ) -> bool:
-        """Exact half-open overlap test between a cell and ``(lo, hi]``.
-
-        The candidate range from :func:`covered_cell_range` is
-        deliberately one cell wide of exact boundaries; this filter
-        keeps membership semantics tight (``l(g)`` contains only
-        subscribers whose rectangles truly intersect ``g``).
-        """
-        cell_lo = self.frame_lo + np.asarray(index) * self._width
-        cell_hi = cell_lo + self._width
-        return bool(
-            np.all(np.maximum(lo, cell_lo) < np.minimum(hi, cell_hi))
-        )
-
     def _make_cell(self, index: Tuple[int, ...]) -> GridCell:
-        lo = self.frame_lo + np.asarray(index) * self._width
-        hi = lo + self._width
         return GridCell(
             index=index,
-            lows=tuple(float(x) for x in lo),
-            highs=tuple(float(x) for x in hi),
+            lows=tuple(lo[i] for lo, i in zip(self._cell_lows, index)),
+            highs=tuple(hi[i] for hi, i in zip(self._cell_highs, index)),
         )
 
     # -- incremental maintenance ---------------------------------------------
@@ -300,23 +326,12 @@ class EventGrid:
         highs = np.asarray(rectangle.highs, dtype=np.float64)
         if np.any(highs <= lows):
             return []
-        lo = np.maximum(
-            np.where(np.isfinite(lows), lows, self.frame_lo), self.frame_lo
-        )
-        hi = np.minimum(
-            np.where(np.isfinite(highs), highs, self.frame_hi),
-            self.frame_hi,
-        )
-        if np.any(hi <= lo):
-            return []
-        first, last = covered_cell_range(
+        lo, hi = self._clip_to_frame(lows, highs)
+        start, stop = overlapped_cell_range(
             lo, hi, self.frame_lo, self._width, self.cells_per_dim
         )
         affected: List[Tuple[int, ...]] = []
-        ranges = [range(first[d], last[d] + 1) for d in range(self.ndim)]
-        for index in product(*ranges):
-            if not self._cell_intersects(index, lo, hi):
-                continue  # boundary-adjacent candidate, empty overlap
+        for index in product(*map(range, start.tolist(), stop.tolist())):
             cell = self.cells.get(index)
             if cell is None:
                 cell = self._make_cell(index)
@@ -360,16 +375,6 @@ class EventGrid:
             raise ValueError("point dimensionality mismatch")
         coords = np.ceil((p - self.frame_lo) / self._width).astype(int) - 1
         return tuple(int(x) for x in coords)
-
-    def cell_overlaps(
-        self, index: Tuple[int, ...], lows: Sequence[float], highs: Sequence[float]
-    ) -> bool:
-        """Exact half-open overlap between cell ``index`` and ``(lows, highs]``."""
-        return self._cell_intersects(
-            index,
-            np.asarray(lows, dtype=np.float64),
-            np.asarray(highs, dtype=np.float64),
-        )
 
     @property
     def cell_width(self) -> np.ndarray:

@@ -36,7 +36,7 @@ from ..core.distribution import DistributionDecision
 from ..core.event import Event
 from ..core.matching import MatchingEngine, MatchResult
 from ..core.subscription import Subscription, SubscriptionTable
-from ..geometry.gridmath import covered_cell_range
+from ..geometry.gridmath import overlapped_cell_range
 from ..geometry.rectangle import Rectangle
 from ..telemetry.base import Telemetry, or_null
 from .map import ShardMap
@@ -197,17 +197,10 @@ class ShardRouter:
             return []  # empty rectangle: matches nothing anywhere
         if np.any(lo < grid.frame_lo) or np.any(hi > grid.frame_hi):
             return None
-        first, last = covered_cell_range(
+        start, stop = overlapped_cell_range(
             lo, hi, grid.frame_lo, grid.cell_width, grid.cells_per_dim
         )
-        ranges = [
-            range(int(first[d]), int(last[d]) + 1) for d in range(grid.ndim)
-        ]
-        return [
-            index
-            for index in product(*ranges)
-            if grid.cell_overlaps(index, lo, hi)
-        ]
+        return list(product(*map(range, start.tolist(), stop.tolist())))
 
     def shards_of_rectangle(self, rectangle: Rectangle) -> List[int]:
         """Every shard that must hold this subscription (sorted)."""

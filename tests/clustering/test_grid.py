@@ -2,14 +2,18 @@
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import EventGrid, UniformCellProbability
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.testbed import build_testbed
 from repro.geometry import Interval, Rectangle
+from repro.geometry.gridmath import covered_cell_range
 from repro.io import canonical_digest
 from repro.workload import nine_mode_distribution
 
@@ -92,6 +96,13 @@ class TestConstruction:
                 [1],
                 frame=((0.0, 0.0), (0.0, 1.0)),
             )
+
+    def test_mixed_dimensions_rejected(self):
+        three_d = Rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(
+            ValueError, match="rectangle 1 has 3 dimensions, grid has 2"
+        ):
+            EventGrid([rect2(0, 1, 0, 1), three_d, rect2(0, 1, 0, 1)], [1, 2, 3])
 
     def test_empty_rectangle_ignored(self):
         grid = EventGrid(
@@ -296,3 +307,118 @@ class TestPinnedDigest:
         )
         assert len(grid.cells) == 64
         assert _grid_digest(grid) == "b4bfa8a6e03f3490112c20dea3d8843a"
+
+
+def _reference_cells(rectangles, subscriber_ids, grid):
+    """Per-candidate build: ordered ``{index: [members, p, lows, highs]}``.
+
+    The straightforward loop over every (rectangle, candidate cell)
+    pair with an exact half-open overlap test per cell, on the frame
+    and bit positions of ``grid``.
+    """
+    frame_lo, frame_hi, c = grid.frame_lo, grid.frame_hi, grid.cells_per_dim
+    width = (frame_hi - frame_lo) / c
+    bit_of = {sid: bit for bit, sid in enumerate(sorted(set(subscriber_ids)))}
+    edges = [frame_lo[d] + width[d] * np.arange(c + 1) for d in range(grid.ndim)]
+    masses = grid.density.per_dimension_masses(edges)
+    cells = {}
+    for rect, sid in zip(rectangles, subscriber_ids):
+        lows, highs = np.asarray(rect.lows), np.asarray(rect.highs)
+        if np.any(highs <= lows):
+            continue
+        lo = np.maximum(np.where(np.isfinite(lows), lows, frame_lo), frame_lo)
+        hi = np.minimum(np.where(np.isfinite(highs), highs, frame_hi), frame_hi)
+        if np.any(hi <= lo):
+            continue
+        first, last = covered_cell_range(lo, hi, frame_lo, width, c)
+        for index in product(*(range(f, l + 1) for f, l in zip(first, last))):
+            cell_lo = frame_lo + np.asarray(index) * width
+            cell_hi = cell_lo + width
+            if not np.all(np.maximum(lo, cell_lo) < np.minimum(hi, cell_hi)):
+                continue
+            if index not in cells:
+                p = 1.0
+                for d, i in enumerate(index):
+                    p *= float(masses[d][i])
+                bounds = [tuple(map(float, cell_lo)), tuple(map(float, cell_hi))]
+                cells[index] = [0, p, *bounds]
+            cells[index][0] |= 1 << bit_of[sid]
+    return cells
+
+
+def _built_cells(grid):
+    return {
+        c.index: [c.members, c.probability, c.lows, c.highs]
+        for c in grid.cells.values()
+    }
+
+
+@st.composite
+def grid_inputs(draw):
+    """Rectangles over-sampling cell boundaries, ±inf, empty and
+    out-of-frame sides, shared subscribers and more than 64 of them."""
+    ndim = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    c = draw(st.integers(1, 3 if ndim == 5 else 6))
+    frame_lo = draw(st.sampled_from([0.0, -1.3, 0.1]))
+    span = draw(st.sampled_from([float(c), 0.6, 7.0]))
+    width = span / c
+    boundaries = [frame_lo + i * width for i in range(c + 1)]
+    coordinate = st.one_of(
+        st.sampled_from(boundaries),
+        st.sampled_from(boundaries).map(lambda x: np.nextafter(x, np.inf)),
+        st.sampled_from(boundaries).map(lambda x: np.nextafter(x, -np.inf)),
+        st.floats(frame_lo - span, frame_lo + 2 * span),
+        st.sampled_from([-math.inf, math.inf]),
+    )
+    count = draw(st.one_of(st.integers(1, 12), st.integers(65, 80)))
+    rectangles = []
+    for _ in range(count):
+        sides = [sorted(draw(st.lists(coordinate, min_size=2, max_size=2)))
+                 for _ in range(ndim)]
+        if draw(st.integers(0, 9)) == 0:
+            sides[0].reverse()  # empty side
+        lows, highs = zip(*sides)
+        rectangles.append(Rectangle(tuple(lows), tuple(highs)))
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+    else:
+        ids = list(range(100, 100 + count))  # distinct: >64 bits for big counts
+    frame = None
+    if draw(st.booleans()):
+        frame = ((frame_lo,) * ndim, (frame_lo + span,) * ndim)
+    return rectangles, ids, c, frame
+
+
+class TestDifferentialBuild:
+    """The array build equals the per-candidate reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_inputs())
+    def test_matches_reference_builder(self, inputs):
+        rectangles, ids, c, frame = inputs
+        grid = EventGrid(rectangles, ids, cells_per_dim=c, frame=frame)
+        reference = _reference_cells(rectangles, ids, grid)
+        built = _built_cells(grid)
+        assert list(built) == list(reference)
+        assert built == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_inputs(), st.integers(1, 80))
+    def test_incremental_matches_one_shot(self, inputs, k):
+        rectangles, ids, c, frame = inputs
+        ndim = rectangles[0].ndim
+        frame = frame or ((-5.0,) * ndim, (20.0,) * ndim)
+        k = min(k, len(rectangles))
+        whole = EventGrid(rectangles, ids, cells_per_dim=c, frame=frame)
+        grown = EventGrid(rectangles[:k], ids[:k], cells_per_dim=c, frame=frame)
+        for rect, sid in zip(rectangles[k:], ids[k:]):
+            one = _reference_cells([rect], [sid], whole)
+            assert grown.add_subscription(rect, sid) == list(one)
+
+        def member_sets(grid):
+            return {
+                index: set(grid.members_of(cell.members))
+                for index, cell in grid.cells.items()
+            }
+
+        assert member_sets(grown) == member_sets(whole)
