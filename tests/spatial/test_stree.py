@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import SubscriptionTable
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.testbed import build_testbed
 from repro.geometry import Interval, Rectangle
+from repro.io import canonical_digest
 from repro.spatial import LinearScanMatcher, STree, STreeParams
+from repro.spatial.stree import TreeShape
+from repro.workload.subscriptions import StockSubscriptionGenerator
 
 
 def brute_force(lows, highs, point):
@@ -241,3 +247,60 @@ class TestShapeAndStats:
         tree = STree.build(lows, highs)
         assert len(tree) == len(lows)
         assert tree.ndim == 4
+
+
+# -- pinned figures of merit -------------------------------------------------
+#
+# The query layout may change; the tree the paper's binarization and
+# compression build, and the work a point query does on it, may not.
+# These figures were taken from the object-graph descent and any other
+# query layout must reproduce them exactly.
+
+PINNED = {
+    1000: (
+        TreeShape(
+            height=1, internal_nodes=1, leaf_nodes=39, entries=1000,
+            min_leaf_depth=1, max_leaf_depth=1, mean_branch_factor=39.0,
+        ),
+        (2000, 8515, 225747),
+        "7c00361b899c7411260884d239f0d9ee",
+    ),
+    10000: (
+        TreeShape(
+            height=2, internal_nodes=15, leaf_nodes=403, entries=10000,
+            min_leaf_depth=1, max_leaf_depth=2, mean_branch_factor=27.8,
+        ),
+        (6359, 70388, 1797795),
+        "007bdfe53d96e2fc6a3a3cafdd6b390b",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def default_testbed():
+    return build_testbed(ExperimentConfig())
+
+
+@pytest.mark.parametrize("subscriptions", sorted(PINNED))
+def test_pinned_default_testbed_tree(default_testbed, subscriptions):
+    """Shape, summed work and per-event ids over 2,000 9-mode events."""
+    config = default_testbed.config
+    if subscriptions == config.num_subscriptions:
+        table = default_testbed.table
+    else:
+        placed = StockSubscriptionGenerator(
+            default_testbed.topology, seed=config.seed + 1
+        ).generate(subscriptions)
+        table = SubscriptionTable.from_placed(placed)
+    points, _ = default_testbed.publications(9, count=2000)
+    tree = STree.build(*table.to_arrays())
+    ids = [tree.match(point) for point in points]
+
+    shape, work, digest = PINNED[subscriptions]
+    stats = tree.stats
+    assert tree.shape() == shape
+    assert stats.queries == len(points)
+    assert (
+        stats.nodes_visited, stats.leaves_visited, stats.entries_tested
+    ) == work
+    assert canonical_digest(ids) == digest
