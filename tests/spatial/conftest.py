@@ -1,9 +1,22 @@
-"""Fixtures shared by the spatial index tests."""
+"""Fixtures shared by the spatial index tests.
+
+Also registers a ``ci`` hypothesis profile with many more examples;
+``HYPOTHESIS_PROFILE=ci`` selects it, and without the variable the
+hypothesis defaults apply.  Tests that pin ``max_examples`` in their
+own ``@settings`` keep their count under either profile.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=1000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def make_workload(rng, k=500, ndim=4, unbounded=True):

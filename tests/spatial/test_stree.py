@@ -71,16 +71,10 @@ class TestConstruction:
         lows, highs, _ = workload
         params = STreeParams(branch_factor=8)
         tree = STree.build(lows, highs, params=params)
-
-        def check(node):
-            if node.is_leaf:
-                assert len(node.entry_ids) <= 8
-            else:
-                assert 2 <= len(node.children) <= 8
-                for child in node.children:
-                    check(child)
-
-        check(tree._root)
+        internal = ~tree._is_leaf
+        assert tree._count.max() <= 8
+        assert tree._count[internal].min() >= 2
+        assert tree._lo.shape[2] <= 8
 
     def test_custom_ids_reported(self):
         lows = np.zeros((3, 1))
