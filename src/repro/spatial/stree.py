@@ -68,6 +68,7 @@ DEFAULT_BRANCH_FACTOR = 40
 DEFAULT_SKEW_FACTOR = 0.3
 #: The first frontier of every descent: node 0, the root.
 _ROOT = np.zeros(1, dtype=np.int64)
+_ROOT.flags.writeable = False
 #: Relative margin added around the data when deriving the packing frame.
 _FRAME_MARGIN = 0.5
 
@@ -156,12 +157,6 @@ class _BinaryNode:
     @property
     def is_leaf(self) -> bool:
         return self.indices is not None
-
-    def leaf_node_count(self) -> int:
-        """Number of leaf *nodes* (not objects) in this subtree."""
-        if self.is_leaf:
-            return 1
-        return sum(child.leaf_node_count() for child in self.children)
 
     def collect_leaves(self) -> List[_BinaryNode]:
         """All leaf nodes in this subtree, left to right."""
@@ -279,7 +274,8 @@ class STree(PointMatcher):
         Slots past ``_count[i]`` are padding with ``lo = +inf`` and
         ``hi = -inf``, which no point or region can overlap.
 
-        The slabs are ``(n_nodes, N, M)``, dimension-major within a
+        The slabs are ``(n_nodes, N, M)`` with ``M`` the widest node's
+        slot count (at most the branch factor), dimension-major within a
         node: reducing a frontier's hit test over the ``N`` axes then
         ANDs ``N`` contiguous rows of ``M`` slots instead of reducing
         ``M`` runs of ``N`` bytes, which halves the test's cost.
@@ -306,9 +302,7 @@ class STree(PointMatcher):
         leaves = np.flatnonzero(is_leaf)
         rows = np.concatenate([nodes[i].indices for i in leaves])
         leaf_of = np.repeat(leaves, count[leaves])
-        slot_of = np.arange(len(rows)) - np.repeat(
-            np.cumsum(count[leaves]) - count[leaves], count[leaves]
-        )
+        slot_of = np.concatenate([np.arange(count[i]) for i in leaves])
         lo[leaf_of, :, slot_of] = self._lows[rows]
         hi[leaf_of, :, slot_of] = self._highs[rows]
         ref[leaf_of, slot_of] = self._ids[rows]
@@ -362,6 +356,7 @@ class STree(PointMatcher):
                 found.append(refs[hit & leaf[:, None]])
                 hit &= ~leaf[:, None]
             frontier = refs[hit]
+        # With no leaf reached, the empty last frontier is the answer.
         return np.concatenate(found) if found else frontier
 
     def _match_ids(self, point: np.ndarray) -> List[int]:
